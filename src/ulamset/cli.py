@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -401,6 +400,7 @@ def _cmd_signal(args) -> int:
         "coarse_step": scan.alpha_step,
         "best_alpha": scan.best_alpha,
         "best_value": scan.best_value,
+        "sign_exceptions": sign_exception_set(seq, scan.best_alpha),
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
@@ -581,17 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cap_worker_threads() -> None:
-    """Honor ULAM_THREADS by capping the numeric backends' thread pools."""
-    cap = os.environ.get("ULAM_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def run(argv=None) -> int:
-    _cap_worker_threads()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -22,10 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .onedim import Sequence1D
+if TYPE_CHECKING:  # onedim imports this module for its frequency estimate
+    from .onedim import Sequence1D
 
 # 2*pi to 60 significant digits, as an exact rational
 _TWO_PI = Fraction(
@@ -100,8 +102,31 @@ class SignalScan:
         )
 
 
+def fourier_sums(terms: np.ndarray, grid_step: float) -> tuple[int, np.ndarray]:
+    """S(2*pi*k/m) for k = 0..m/2, exactly, by one FFT of the indicator vector.
+
+    ``m`` is the smallest power of two whose step 2*pi/m is at most
+    ``grid_step`` and which exceeds every term (so no two terms alias).
+    Returns ``(m, sums)``.
+    """
+    m = 1
+    top = int(terms.max())
+    while 2 * math.pi / m > grid_step or m <= top:
+        m *= 2
+    indicator = np.zeros(m, dtype=np.float64)
+    indicator[terms] = 1.0
+    return m, np.fft.rfft(indicator).real
+
+
 def _direct_sums(terms: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """S(alpha) for a batch of alphas (vectorized float64 evaluation)."""
+    """S(alpha) for a batch of alphas (vectorized float64 evaluation).
+
+    Error bound: float64 rounds alpha*a with error at most half an ulp of
+    alpha*a_max, and cos is 1-Lipschitz, so each term of the sum is off by
+    at most ulp(alpha*a_max)/2, plus cos's own sub-ulp rounding.  For (1,2)
+    at 5e4 terms alpha*a_max is about 1.7e6 < 2**21, whose ulp is 2**-32,
+    so each term is off by at most about 1.2e-10, and so is S/N.
+    """
     out = np.empty(alphas.size, dtype=np.float64)
     block = max(1, 20_000_000 // max(terms.size, 1))
     for i in range(0, alphas.size, block):
@@ -123,12 +148,7 @@ def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
         raise ValueError("grid step must be at most 1e-4")
     terms = np.asarray(seq.terms, dtype=np.int64)
     n = terms.size
-    m = 1
-    while 2 * math.pi / m > grid_step or m <= int(terms[-1]):
-        m *= 2
-    indicator = np.zeros(m, dtype=np.float64)
-    indicator[terms] = 1.0
-    spectrum = np.fft.rfft(indicator).real  # S(2*pi*j/m) exactly, j=0..m/2
+    m, spectrum = fourier_sums(terms, grid_step)
     step = 2 * math.pi / m
     sums = spectrum[1:] / n  # drop alpha=0; grid covers (0, pi]
     j_best = int(np.argmin(sums))

@@ -102,6 +102,18 @@ def test_signal_cli_alpha(capsys):
     assert -0.85 < doc["normalized_sum"] < -0.70
 
 
+def test_signal_cli_scan(tmp_path, capsys):
+    csv = tmp_path / "scan.csv"
+    code = run(["signal", "--init", "1,2", "--terms", "5000", "--csv-out", str(csv)])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert abs(doc["best_alpha"] - 2.571447) < 1e-4
+    assert doc["sign_exceptions"] == [2, 3, 47, 69]
+    rows = csv.read_text().splitlines()
+    assert rows[0] == "alpha,normalized_sum"
+    assert len(rows) > 1000
+
+
 def test_embed_and_normalize_cli(capsys):
     assert run(["embed", "--init", "(1,0),(1,1*sqrt2)",
                 "--symbols", "sqrt2=1.4142135623730951"]) == 0

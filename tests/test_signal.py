@@ -6,7 +6,13 @@ import pytest
 
 from ulamset import ulam_sequence
 from ulamset.onedim import Sequence1D
-from ulamset.signal import alpha_scan, cosine_sum, sign_exception_set
+from ulamset.signal import (
+    _direct_sums,
+    _reduced_args,
+    alpha_scan,
+    cosine_sum,
+    sign_exception_set,
+)
 
 
 def test_cosine_sum_alternating_cancellation():
@@ -72,3 +78,13 @@ def test_other_initials_show_the_phenomenon():
     scan = alpha_scan(seq)
     assert scan.best_value < -0.5
     assert abs(scan.best_alpha - 1.1650129) < 1e-4
+
+
+def test_direct_sums_agree_with_exact_reduction():
+    # the float64 refinement is off by at most ulp(alpha*a_max)/2 per term
+    seq = ulam_sequence((1, 2), 50_000)
+    terms = np.asarray(seq.terms, dtype=np.int64)
+    alphas = np.array([2.5714474995, 1.0, math.pi - 1e-3])
+    direct = _direct_sums(terms, alphas) / terms.size
+    exact = [np.cos(_reduced_args(seq.terms, Fraction(a))).mean() for a in alphas]
+    assert np.max(np.abs(direct - exact)) < 1e-9
