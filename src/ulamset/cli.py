@@ -352,6 +352,14 @@ def _cmd_columns(args) -> int:
             )
         for t in rep.inconclusive:
             lines.append(f"{t[0]:>5} {t[1]:>3} {'inconclusive':>16}")
+        lines.append(f"nonempty columns: {rep.nonempty_indices()}")
+        by_period: dict[int, set[int]] = {}
+        for p in rep.profiles:
+            by_period.setdefault(p.period, set()).add(p.index)
+        for period in sorted(by_period):
+            xs = sorted(by_period[period])
+            head = ", ".join(map(str, xs[:14])) + ("..." if len(xs) > 14 else "")
+            lines.append(f"period {period:>3}: {len(xs)} columns ({head})")
         for v in rep.violations:
             lines.append(f"VIOLATION: {v}")
         _emit("\n".join(lines) + "\n", args.out)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import UlamSet
 from .errors import BadAlphabet, RangeExceedsBound
 
@@ -91,14 +93,14 @@ def detect_eventual_period(
     if min_evidence < 3:
         raise ValueError("min_evidence must be at least 3")
     n = len(word)
+    a = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
     best: tuple[int, int] | None = None
     for p in range(1, max_period + 1):
-        t = 0
-        for j in range(n - p - 1, -1, -1):
-            if word[j] != word[j + p]:
-                t = j + 1
-                break
         needed = (min_evidence + (1 if edge_guard else 0)) * p
+        if n < needed:
+            break  # needed grows with p
+        breaks = np.flatnonzero(a[:-p] != a[p:])
+        t = int(breaks[-1]) + 1 if breaks.size else 0
         if n - t >= needed and (best is None or t < best[0]):
             best = (t, p)  # ascending p: first hit at a given t is minimal
     if best is None:

@@ -92,6 +92,17 @@ def test_columns_cli_json(capsys):
     assert periods[3] == 2
 
 
+def test_columns_cli_table_summaries(capsys):
+    code = run(["columns", "--init", "(1,0),(2,0),(0,1)", "--box", "20,400"])
+    assert code == 0
+    tail = capsys.readouterr().out.splitlines()[-3:]
+    assert tail == [
+        "nonempty columns: [1, 4, 6, 9, 14, 20]",
+        "period   1: 16 columns (0, 1, 2, 3, 5, 7, 8, 10, 11, 12, 13, 15, 16, 17...)",
+        "period   2: 5 columns (4, 6, 9, 14, 20)",
+    ]
+
+
 def test_signal_cli_alpha(capsys):
     code = run([
         "signal", "--init", "1,2", "--terms", "3000", "--alpha", "2.5714474995",

@@ -122,6 +122,12 @@ def test_detect_requires_min_evidence():
         detect_eventual_period("0101", min_evidence=2)
 
 
+def test_detect_rejects_bad_alphabet():
+    for word in ("", "0120", "01\u00e9"):
+        with pytest.raises(BadAlphabet):
+            detect_eventual_period(word)
+
+
 def _scan_oracle(word, max_period, min_evidence):
     """Exhaustive (t, p) scan in lexicographic order."""
     n = len(word)
@@ -133,6 +139,50 @@ def _scan_oracle(word, max_period, min_evidence):
             if all(word[j] == word[j + p] for j in range(t, n - p)):
                 return (t, p)
     return best
+
+
+def _string_scan(word, max_period, min_evidence, edge_guard):
+    """The per-character loop detect_eventual_period replaced."""
+    n = len(word)
+    best = None
+    for p in range(1, max_period + 1):
+        t = 0
+        for j in range(n - p - 1, -1, -1):
+            if word[j] != word[j + p]:
+                t = j + 1
+                break
+        needed = (min_evidence + (1 if edge_guard else 0)) * p
+        if n - t >= needed and (best is None or t < best[0]):
+            best = (t, p)
+    if best is None:
+        return None
+    t, p = best
+    return (t, p, word[t:t + p], (n - t) // p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet="01", min_size=1, max_size=120),
+        # a random preperiod followed by a repeated random pattern
+        st.builds(
+            lambda head, pat, reps: head + pat * reps,
+            st.text(alphabet="01", max_size=30),
+            st.text(alphabet="01", min_size=1, max_size=12),
+            st.integers(1, 12),
+        ),
+    ),
+    st.integers(1, 20),
+    st.integers(3, 5),
+    st.booleans(),
+)
+def test_detect_matches_string_scan(word, max_period, min_evidence, edge_guard):
+    fit = detect_eventual_period(word, max_period, min_evidence, edge_guard)
+    want = _string_scan(word, max_period, min_evidence, edge_guard)
+    if want is None:
+        assert fit is None
+    else:
+        assert (fit.preperiod, fit.period, fit.pattern, fit.evidence) == want
 
 
 @settings(max_examples=120, deadline=None)

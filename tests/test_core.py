@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -11,8 +12,10 @@ from ulamset import (
     generate,
     generate_reference,
     representation_count,
+    ulam_sequence,
     validate_config,
 )
+from ulamset import core
 from ulamset.core import _generate_dense, _generate_sparse
 from ulamset.errors import (
     BoundTooSmall,
@@ -308,3 +311,68 @@ def test_euclidean_level_truncation():
     big = generate(cfg, Bound.box((8, 8)))
     disk = {p for p in big.points if p[0] ** 2 + p[1] ** 2 <= 50}
     assert set(a.points) == disk
+
+
+# ---------------------------------------------------------------------------
+# dense engine: saturating counts and the two box updates
+
+
+def _random_bound(data, raw, dim):
+    """A box or level bound that holds every initial, kept small enough for
+    the reference generator."""
+    if data.draw(st.booleans(), label="box"):
+        top = 12 if dim == 2 else 6
+        return Bound.box(
+            [data.draw(st.integers(max(p[i] for p in raw), top)) for i in range(dim)]
+        )
+    top = 16 if dim == 2 else 9
+    return Bound.level(data.draw(st.integers(max(sum(p) for p in raw), top)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_dense_engine_exact_with_frequent_clamps(dim, data):
+    """Clamping the counts after every one to three admissions, with either
+    box update forced or the usual choice, changes no point."""
+    raw = data.draw(_points_strategy(dim, max_coord=3), label="initials")
+    cfg = validate_config(raw, dim)
+    bound = _random_bound(data, raw, dim)
+    want = generate_reference(cfg, bound).points
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_CLAMP_EVERY", data.draw(st.integers(1, 3), label="clamp"))
+        mp.setattr(
+            core, "_SLICE_PER_MEMBER",
+            data.draw(st.sampled_from([0, core._SLICE_PER_MEMBER, 10**9]), label="c"),
+        )
+        assert _generate_dense(cfg, bound).points == want
+
+
+# sha256 of ";".join(",".join(coordinates)) over the points in output order,
+# as computed by the dense engine with uint32 counts and a bool member grid
+DENSE_SHA256 = [
+    ([(1, 0), (2, 0), (0, 1)], Bound.box((60, 2000)), 14029,
+     "2517fac583bd53ec0beb34006ca4268c134bbd796f15ec9b38a3ad2fdc3d9db2"),
+    ([(2, 0), (3, 0), (0, 1)], Bound.box((70, 3000)), 30779,
+     "112b83cdda6e596010a6d89f94fa7a53b2bd407f4795ba63259bc0ccccc10ede"),
+    ([(1, 0), (0, 1), (6, 7)], Bound.box((200, 200)), 10106,
+     "2b029c1ce55d5eb6030e21aa299c1b585968ecc1ff0ec8fc7a6a69bb4ab4b344"),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], Bound.level(60), 2817,
+     "71162734343985e8ab8e02aca6d8a7fdfab6aa3299d95e67dd2e8393a9889354"),
+]
+
+
+@pytest.mark.parametrize("raw,bound,size,digest", DENSE_SHA256)
+def test_dense_engine_matches_frozen_checksums(raw, bound, size, digest):
+    s = generate(validate_config(raw, len(raw[0])), bound)
+    text = ";".join(",".join(map(str, p)) for p in s.points)
+    assert len(s) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=2, max_size=3, unique=True))
+def test_dimension_one_box_matches_sequence(initials):
+    x = 200
+    s = generate(validate_config([(a,) for a in initials], 1), Bound.box((x,)))
+    terms = ulam_sequence(initials, x + 1).terms  # x + 1 distinct terms pass x
+    assert [p[0] for p in s.points] == [t for t in terms if t <= x]

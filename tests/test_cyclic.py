@@ -1,9 +1,12 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulamset.cyclic import CyclicPoint, finiteness_certificate, generate_cyclic
 from ulamset.errors import BoundTooSmall, InconclusiveBound, InvalidInitials
+from ulamset.onedim import ulam_sequence
 
 # Plotted points of the mod-6 set from {(1,3), (3,4)} up to x = 20
 FIG_MOD6_PREFIX = sorted(
@@ -144,3 +147,12 @@ def test_norm_independence_x_vs_scaled():
         assert brute_force_cyclic(initials, n, bound) == brute_force_cyclic(
             initials, n, bound, sequential=True
         )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=2, max_size=3, unique=True))
+def test_modulus_one_is_the_sequence(initials):
+    x = 150
+    cset = generate_cyclic([(a, 0) for a in initials], 1, x)
+    terms = ulam_sequence(initials, x + 1).terms  # x + 1 distinct terms pass x
+    assert [p[0] for p in cset.points] == [t for t in terms if t <= x]
