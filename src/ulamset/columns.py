@@ -136,13 +136,26 @@ def column_word(
         raise RangeExceedsBound(
             f"column (axis={axis}, index={index}) up to {hi} leaves the bound"
         )
-    out = []
-    p = [0, 0]
-    p[other] = index
-    for v in range(lo, hi + 1, step):
-        p[axis] = v
-        out.append("1" if tuple(p) in uset.members else "0")
-    return "".join(out)
+    if index < 0:  # no member has a negative coordinate
+        return "0" * len(range(lo, hi + 1, step))
+    shape = [0, 0]
+    shape[axis], shape[other] = hi + 1, index + 1
+    return _grid_word(_member_grid(uset, shape), axis, index, lo, hi, step)
+
+
+def _member_grid(uset: UlamSet, shape) -> np.ndarray:
+    """uint8 grid over [0, shape): ASCII "1" at the members, "0" elsewhere."""
+    grid = np.full(shape, ord("0"), dtype=np.uint8)
+    pts = np.array(uset.points, dtype=np.int64).reshape(-1, 2)
+    pts = pts[(pts < np.array(shape)).all(axis=1)]
+    grid[pts[:, 0], pts[:, 1]] = ord("1")
+    return grid
+
+
+def _grid_word(grid: np.ndarray, axis: int, index: int, lo: int, hi: int, step: int) -> str:
+    """Symbols lo, lo + step, ... <= hi of one column of a member grid."""
+    line = grid[:, index] if axis == 0 else grid[index]
+    return line[lo:hi + 1:step].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -216,12 +229,13 @@ def columns_report(
     inconclusive: list[tuple[int, int]] = []
     violations: list[str] = []
     seen_periods: list[tuple[int, int]] = []  # (index, period) lineage
+    grid = _member_grid(uset, [l + 1 for l in uset.bound.limits])
 
     for index in range(hi_index + 1):
         for residue in range(step):
             if residue > hi_sweep:
                 continue
-            word = column_word(uset, axis, index, residue, hi_sweep, step)
+            word = _grid_word(grid, axis, index, residue, hi_sweep, step)
             fit = detect_eventual_period(
                 word, max_period, min_evidence, edge_guard=True
             )

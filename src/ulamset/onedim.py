@@ -41,7 +41,7 @@ members are outliers, the signal is too weak to pay for the pull counts;
 j goes back to 0 until the next estimate.  Every step above is exact for
 any j, so the frequency affects the speed only, never the output.  For
 (1, 2) about 100 of the first 5e4 members are outliers, and 5e4 terms
-come at about 65 000 terms per second (``onedim.terms_per_s`` of the
+come at about 85 000 terms per second (``onedim.terms_per_s`` of the
 benchmark's seq1d workload, on a 2-vCPU Xeon).
 
 Initials with a common factor g give g times the sequence of the initials
@@ -142,6 +142,18 @@ def _pull_count(v: int, need: int, in_j: np.ndarray, j_members: np.ndarray) -> i
     return found + int(np.count_nonzero(in_j[v - rest[2 * rest < v]]))
 
 
+def _candidate_masks(cls: np.ndarray, nj: int) -> tuple[np.ndarray, np.ndarray]:
+    """uint32 (flip, cap) with (count ^ flip) <= cap iff a value is a candidate.
+
+    A value in J, or any value when the counts are complete (nj == 0), is a
+    candidate iff its count is 1: flip = 1, cap = 0, and c ^ 1 <= 0 iff
+    c == 1.  Any other value is one iff its count is at most 1, before its
+    pull count: flip = 0, cap = 1, and c ^ 0 <= 1 iff c <= 1.
+    """
+    flip = cls.astype(np.uint32) if nj else np.ones(cls.size, dtype=np.uint32)
+    return flip, flip ^ 1
+
+
 def ulam_sequence(initials, n_terms: int) -> Sequence1D:
     """First ``n_terms`` terms (in increasing order) of the sequence."""
     inits = tuple(int(a) for a in initials)
@@ -202,28 +214,25 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
         # array size.
         hi = min(lo + _BLOCK, size, pending[pi] if pi < k else size)
         cls = _in_class(_residues(np.arange(lo, hi, dtype=np.int64), j))
+        flip, cap = _candidate_masks(cls, nj)
 
         scan = lo
         chunk = 64
         while scan < hi:
             end = min(scan + chunk, hi)
-            c = counts[scan:end]
             o = scan - lo
-            # with no untracked member of J, every count is complete
-            ok = np.where(cls[o:o + end - scan], c == 1, c <= 1) if nj else c == 1
-            x = -1
-            for i in ok.nonzero()[0].tolist():
-                if cls[o + i] or not nj:
-                    x = scan + i
-                    break
-                have = int(c[i])
-                if have + _pull_count(scan + i, 2 - have, in_j, j_members[:nj]) == 1:
-                    x = scan + i
-                    break
-            if x < 0:
+            ok = (counts[scan:end] ^ flip[o:o + end - scan]) <= cap[o:o + end - scan]
+            i = int(ok.argmax())
+            if not ok[i]:
                 scan = end
                 chunk *= 4
                 continue
+            x = scan + i
+            if flip[o + i] == 0:  # outside J, count <= 1: pull the rest
+                have = int(counts[x])
+                if have + _pull_count(x, 2 - have, in_j, j_members[:nj]) != 1:
+                    scan = x + 1
+                    continue
 
             out.append(x)
             if x > top:
@@ -238,6 +247,8 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
                 in_j[x] = True
                 j_members[nj] = x
                 nj += 1
+                if nj == 1:  # the counts are no longer complete
+                    flip, cap = _candidate_masks(cls, nj)
             else:
                 counts[members[:m] + x] += 1  # sums are distinct for a fixed new term
                 tracked[nt] = x

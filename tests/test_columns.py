@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ulamset import Bound, generate, validate_config
 from ulamset.columns import (
+    _grid_word,
+    _member_grid,
     classify_period_doubling,
     column_word,
     columns_report,
@@ -235,6 +237,42 @@ def test_column_word_honors_the_sets_own_size_function():
 def test_empty_column_in_axes_2_3_config():
     s = generate(validate_config([(2, 0), (0, 1), (3, 1)], 2), Bound.box((8, 20)))
     assert column_word(s, axis=1, index=5, lo=2, hi=20) == "0" * 19
+
+
+def _lookup_word(uset, axis, index, lo, hi, step):
+    """Column word by one set lookup per symbol."""
+    out = []
+    p = [0, 0]
+    p[1 - axis] = index
+    for v in range(lo, hi + 1, step):
+        p[axis] = v
+        out.append("1" if tuple(p) in uset.members else "0")
+    return "".join(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+        min_size=2,
+        max_size=4,
+        unique=True,
+    ),
+    st.integers(0, 1),
+    st.data(),
+)
+def test_column_words_match_set_lookups(raw, axis, data):
+    limits = (data.draw(st.integers(4, 20)), data.draw(st.integers(4, 30)))
+    s = generate(validate_config(raw, 2), Bound.box(limits))
+    index = data.draw(st.integers(-1, limits[1 - axis]), label="index")
+    hi = data.draw(st.integers(0, limits[axis]), label="hi")
+    lo = data.draw(st.integers(0, hi), label="lo")
+    step = data.draw(st.integers(1, 4), label="step")
+    want = _lookup_word(s, axis, index, lo, hi, step)
+    assert column_word(s, axis, index, lo, hi, step) == want
+    if index >= 0:
+        grid = _member_grid(s, [l + 1 for l in limits])
+        assert _grid_word(grid, axis, index, lo, hi, step) == want
 
 
 # ---------------------------------------------------------------------------

@@ -376,3 +376,29 @@ def test_dimension_one_box_matches_sequence(initials):
     s = generate(validate_config([(a,) for a in initials], 1), Bound.box((x,)))
     terms = ulam_sequence(initials, x + 1).terms  # x + 1 distinct terms pass x
     assert [p[0] for p in s.points] == [t for t in terms if t <= x]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_level_bound_is_the_box_filtered_to_the_level(dim, data):
+    """The dense level branch equals the dense box branch over (c,)*d kept
+    to coordinate sum <= c: a box is downward closed, so its slice is exact.
+    Each branch enumerates its levels by the precomputed order or, with
+    _SMALL_GRID_CELLS at 0, by _diag_cells, drawn independently."""
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    with_units = _points_strategy(dim, max_coord=4).map(
+        lambda extra: units + [p for p in extra if p not in units][:2]
+    )  # the unit vectors give dense sets, which reach every level
+    raw = data.draw(_points_strategy(dim, max_coord=4) | with_units, label="initials")
+    cfg = validate_config(raw, dim)
+    c = data.draw(
+        st.integers(max(sum(p) for p in raw), 40 if dim == 2 else 14), label="c"
+    )
+    small = st.sampled_from([0, core._SMALL_GRID_CELLS])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_SMALL_GRID_CELLS", data.draw(small, label="level cells"))
+        level = generate(cfg, Bound.level(c))
+        mp.setattr(core, "_SMALL_GRID_CELLS", data.draw(small, label="box cells"))
+        box = generate(cfg, Bound.box((c,) * dim))
+    kept = [(p, f) for p, f in zip(box.points, box.levels) if f <= c]
+    assert list(zip(level.points, level.levels)) == kept

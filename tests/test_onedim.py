@@ -189,3 +189,25 @@ def test_wrapped_residue_is_exact(a, j):
     # a*j mostly overflows 64 bits here; the residue mod 2**48 survives
     r = a * j % onedim._M
     assert onedim._residues(np.array([a]), j)[0] == r
+
+
+# frequencies spread over the circle (small integers put no early value in J)
+_TURNS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+    lambda t: max(1, int(t * onedim._M))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_INITIALS, _TURNS, st.integers(3, 8))
+def test_first_untracked_member_of_the_class_inside_a_block(initials, j, first):
+    # Tracking every member of J at each estimate leaves no untracked one, so
+    # the counts are complete until a member of J is admitted, inside the
+    # block that follows; from then on values outside J need pull counts.
+    # Early estimates let sums of two such members fall before the next one.
+    with mock.patch.multiple(
+        onedim,
+        _estimate=lambda members, _: j,
+        **{**_SMALL_PHASES, "_FIRST_ESTIMATE": first, "_TRACKED_J": 10**9},
+    ):
+        fast = ulam_sequence(initials, 40).terms
+    assert list(fast) == brute_force_sequence(initials, 40)
