@@ -9,16 +9,16 @@ the resulting point set does not depend on which admissible f is used, so
 the coordinate sum is the canonical choice here (integer levels, exact
 arithmetic).
 
-Two independent generators are provided: :func:`generate` (incremental
-representation counting, dense numpy grids where possible) and
+One fast engine and one oracle are provided: :func:`generate` (incremental
+representation counting on a dense numpy grid, coordinate-sum levels, any
+other size function as a filter over a box that holds the bound) and
 :func:`generate_reference` (definition-faithful brute force, recounting all
-pairwise sums from scratch at every step).  They must agree on every input;
-the test suite checks this on many small instances.
+pairwise sums from scratch at every step, for any size function).  They must
+agree on every input; the test suite checks this on many small instances.
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,17 +32,17 @@ from .errors import (
     DimensionMismatch,
     DuplicateVector,
     EmptyConfig,
+    GridTooLarge,
     NegativeCoordinate,
     ZeroVector,
 )
 
 Point = tuple[int, ...]
 
-# Dense-grid engine limits.  Above _DENSE_CELL_LIMIT cells the exact but
-# slower hash-map engine takes over; grids below _SMALL_GRID_CELLS get their
-# level decomposition precomputed in one vectorized pass.
+# Largest dense grid, in cells.  The counts take 2 B per cell and the box
+# branch's member grid 2 B more, so the limit is 300-600 MB; a larger request
+# raises GridTooLarge before anything is allocated.
 _DENSE_CELL_LIMIT = 150_000_000
-_SMALL_GRID_CELLS = 2_000_000
 
 # Admissions between two clamps of the dense engine's uint16 counts.
 _CLAMP_EVERY = 2**16 - 3
@@ -229,64 +229,50 @@ def generate(config: InitialConfig, bound: Bound, sizefn: SizeFunction | None = 
     its number of representations as a sum of two distinct earlier members
     is exactly one, and all ties at one level are admitted together.  The
     result is exactly the infinite set intersected with the bound.
+
+    The set does not depend on the admissible f, and a box is downward
+    closed, so any f is served by the coordinate-sum engine over a box that
+    holds the bound, followed by a filter on f.  Raises
+    :class:`GridTooLarge` before allocating when that box has more than
+    ``_DENSE_CELL_LIMIT`` cells.
     """
     sizefn = sizefn or SizeFunction.coordinate_sum()
     sizefn.check_dim(config.dim)
     _check_bound_dim(config.dim, bound)
     _check_initials_in_bound(config, bound, sizefn)
     if sizefn.kind == "coordinate-sum":
-        if bound.kind == "box":
-            dims = tuple(l + 1 for l in bound.limits)
-        else:
-            dims = (int(bound.cap) + 1,) * config.dim
-        cells = prod(dims)
-        if cells <= _DENSE_CELL_LIMIT and (
-            config.dim <= 3 or cells <= _SMALL_GRID_CELLS
-        ):
-            return _generate_dense(config, bound)
-    return _generate_sparse(config, bound, sizefn)
+        return _generate_dense(config, bound)
+    box = bound
+    if bound.kind == "level":
+        box = Bound.box([_axis_limit(sizefn, config.dim, i, bound.cap) for i in range(config.dim)])
+    pts = _generate_dense(config, box).points
+    fvals = [sizefn.value(p) for p in pts]
+    kept = [i for i, f in enumerate(fvals) if bound.contains(pts[i], f)]
+    return _assemble(config, sizefn, bound, [pts[i] for i in kept], [fvals[i] for i in kept])
+
+
+def _axis_limit(sizefn, dim: int, axis: int, cap) -> int:
+    """Largest x with f(x e_axis) <= cap, by doubling then bisection.
+
+    Admissibility gives f(p) > f(p_axis e_axis) whenever p has another
+    nonzero coordinate, so every point of {f <= cap} lies in the box of
+    these limits; it also makes f(x e_axis) increasing in x >= 1.
+    """
+
+    def fits(x):
+        return sizefn.value(tuple(x if i == axis else 0 for i in range(dim))) <= cap
+
+    lo, hi = 0, 1  # fits(lo), and hi is the candidate above it
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
 
 
 # ---------------------------------------------------------------------------
 # Dense engine: numpy grids, coordinate-sum levels.
-
-
-def _ragged_arange(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate arange(starts[i], starts[i]+lens[i]); also return owners."""
-    total = int(lens.sum())
-    owner = np.repeat(np.arange(lens.size), lens)
-    base = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    offs = np.arange(total) - np.repeat(base, lens)
-    return starts[owner] + offs, owner
-
-
-def _diag_cells(L: int, limits, strides: np.ndarray) -> np.ndarray:
-    """Flat indices of all in-box cells with coordinate sum L, in lex order."""
-    d = len(limits)
-    if d == 1:
-        if L > limits[0]:
-            return np.empty(0, dtype=np.int64)
-        return np.array([L], dtype=np.int64)
-    if d == 2:
-        xlo = max(0, L - limits[1])
-        xhi = min(limits[0], L)
-        if xhi < xlo:
-            return np.empty(0, dtype=np.int64)
-        xs = np.arange(xlo, xhi + 1, dtype=np.int64)
-        return xs * strides[0] + (L - xs) * strides[1]
-    # d == 3
-    xlo = max(0, L - limits[1] - limits[2])
-    xhi = min(limits[0], L)
-    if xhi < xlo:
-        return np.empty(0, dtype=np.int64)
-    xs_range = np.arange(xlo, xhi + 1, dtype=np.int64)
-    rem = L - xs_range
-    ylo = np.maximum(0, rem - limits[2])
-    yhi = np.minimum(limits[1], rem)
-    ys, owner = _ragged_arange(ylo, yhi - ylo + 1)
-    xs = xs_range[owner]
-    zs = rem[owner] - ys
-    return xs * strides[0] + ys * strides[1] + zs * strides[2]
 
 
 def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
@@ -301,7 +287,31 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
         lmax = cap
     dims = tuple(l + 1 for l in limits)
     cells = prod(dims)
+    if cells > _DENSE_CELL_LIMIT:
+        raise GridTooLarge(
+            f"the {'x'.join(map(str, dims))} grid has {cells} cells, over the "
+            f"limit of {_DENSE_CELL_LIMIT}"
+        )
     strides = np.array([prod(dims[i + 1:]) for i in range(d)], dtype=np.int64)
+
+    # Level enumeration: along the longest axis j, every cell with coordinate
+    # sum L is a prefix over the other axes with sum s in [L - limits[j], L],
+    # completed by L - s along j.  With the prefixes sorted by s, those are
+    # one contiguous slice.
+    j = max(range(d), key=lambda i: limits[i])
+    psum = np.zeros(1, dtype=np.int64)
+    poff = np.zeros(1, dtype=np.int64)
+    for i in range(d):
+        if i != j:
+            psum = (psum[:, None] + np.arange(dims[i])).ravel()
+            poff = (poff[:, None] + np.arange(dims[i]) * strides[i]).ravel()
+    order = np.argsort(psum)
+    psum, poff = psum[order], poff[order]
+    starts = np.searchsorted(psum, np.arange(lmax + 2))
+
+    def cells_at(L):
+        lo, hi = starts[max(L - limits[j], 0)], starts[L + 1]
+        return poff[lo:hi] + (L - psum[lo:hi]) * strides[j]
 
     # Saturating counts: only the states 0, 1 and >= 2 matter.  Each
     # admission adds at most 1 to any cell (its targets u + w are distinct),
@@ -328,18 +338,6 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
     for v in config.initials:
         fl = int(sum(c * s for c, s in zip(v, strides)))
         init_by_level.setdefault(sum(v), []).append(fl)
-
-    if cells <= _SMALL_GRID_CELLS or d > 3:
-        sums = np.indices(dims).reshape(d, -1).sum(axis=0)
-        order = np.argsort(sums, kind="stable").astype(np.int64)
-        splits = np.searchsorted(sums[order], np.arange(lmax + 2))
-
-        def cells_at(L):
-            return order[splits[L]:splits[L + 1]]
-    else:
-
-        def cells_at(L):
-            return _diag_cells(L, limits, strides)
 
     out_pts: list[Point] = []
     out_levels: list[int] = []
@@ -401,73 +399,6 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
             out_levels.append(L)
 
     return _assemble(config, SizeFunction.coordinate_sum(), bound, out_pts, out_levels)
-
-
-# ---------------------------------------------------------------------------
-# Sparse engine: exact arithmetic, any admissible size function.
-
-
-def _generate_sparse(config: InitialConfig, bound: Bound, sizefn) -> UlamSet:
-    fval = sizefn.value
-    if bound.kind == "box":
-        limits = bound.limits
-
-        def in_bound(p):
-            return all(c <= l for c, l in zip(p, limits))
-    else:
-        cap = bound.cap
-
-        def in_bound(p):
-            return fval(p) <= cap
-
-    init_sorted = sorted(config.initials, key=lambda p: (fval(p), p))
-    init_f = [fval(p) for p in init_sorted]
-
-    members: list[Point] = []
-    member_set: set[Point] = set()
-    counts: dict[Point, int] = {}
-    heap: list = []
-    out_pts: list[Point] = []
-    out_levels: list = []
-
-    def admit(w: Point, fw) -> None:
-        for u in members:
-            s = tuple(a + b for a, b in zip(u, w))
-            if not in_bound(s):
-                continue
-            c = counts.get(s, 0)
-            if c == 0:
-                counts[s] = 1
-                heapq.heappush(heap, (fval(s), s))
-            elif c == 1:
-                counts[s] = 2  # saturating: only 0/1/>=2 matters
-        members.append(w)
-        member_set.add(w)
-        out_pts.append(w)
-        out_levels.append(fw)
-
-    ii = 0
-    while ii < len(init_sorted) or heap:
-        if ii < len(init_sorted) and (not heap or init_f[ii] <= heap[0][0]):
-            level = init_f[ii]
-        else:
-            level = heap[0][0]
-        batch_init: list[Point] = []
-        while ii < len(init_sorted) and init_f[ii] == level:
-            batch_init.append(init_sorted[ii])
-            ii += 1
-        binit = set(batch_init)
-        batch_cand: list[Point] = []
-        while heap and heap[0][0] == level:
-            _, p = heapq.heappop(heap)
-            if p in member_set or p in binit:
-                continue
-            if counts.get(p) == 1:
-                batch_cand.append(p)
-        for w in sorted(binit | set(batch_cand)):
-            admit(w, level)
-
-    return _assemble(config, sizefn, bound, out_pts, out_levels)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ class BoundTooSmall(UlamError):
     """The requested bound excludes one of the initial vectors."""
 
 
+class GridTooLarge(UlamError):
+    """The dense grid that a request needs has more cells than the limit."""
+
+
 class InvalidInitials(UlamError):
     pass
 

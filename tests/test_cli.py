@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ulamset import Bound, generate, validate_config
+from ulamset import Bound, core, generate, validate_config
 from ulamset.cli import (
     export_svg,
     parse_point_list,
@@ -79,6 +79,15 @@ def test_usage_error_exit_code(capsys):
     assert run(["generate"]) == 2  # no initials, no config
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bound", [["--box", "9,9"], ["--level", "30", "--size", "euclidean"]])
+def test_generate_over_the_cell_limit_exits_2(monkeypatch, capsys, bound):
+    monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", 10)
+    assert run(["generate", "--init", "(1,0),(0,1)", *bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "limit of 10" in captured.err
 
 
 def test_columns_cli_json(capsys):

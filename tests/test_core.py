@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,14 @@ from ulamset import (
     validate_config,
 )
 from ulamset import core
-from ulamset.core import _generate_dense, _generate_sparse
+from ulamset.algebra import PrimeProductSize
+from ulamset.core import _generate_dense
 from ulamset.errors import (
     BoundTooSmall,
     DimensionMismatch,
     DuplicateVector,
     EmptyConfig,
+    GridTooLarge,
     NegativeCoordinate,
     ZeroVector,
 )
@@ -117,7 +120,7 @@ def test_representation_count_rejects_zero():
 
 
 # ---------------------------------------------------------------------------
-# the two engines and the reference oracle agree
+# the engine and the reference oracle agree
 
 
 _SMALL_CONFIGS = [
@@ -140,12 +143,13 @@ def test_generate_matches_reference(raw, box):
     assert a.points == b.points
 
 
-def test_dense_and_sparse_engines_agree():
+def test_box_post_filter_matches_reference():
+    sizefn = SizeFunction.weighted_sum((2, "1/3"))
     for raw, box in _SMALL_CONFIGS[:4]:
         cfg = validate_config(raw, 2)
-        d = _generate_dense(cfg, Bound.box(box))
-        s = _generate_sparse(cfg, Bound.box(box), SizeFunction.coordinate_sum())
-        assert d.points == s.points
+        a = generate(cfg, Bound.box(box), sizefn)
+        b = generate_reference(cfg, Bound.box(box), sizefn)
+        assert (a.points, a.levels) == (b.points, b.levels)
 
 
 def test_reference_agrees_on_level_bound_3d():
@@ -260,21 +264,16 @@ def test_oracle_equivalence_random_1d(raw):
 # engine corners: level bounds, asymmetric boxes, higher dimensions
 
 
-def test_level_bound_dense_vs_sparse_vs_reference_2d():
+def test_level_bound_dense_vs_reference_2d():
     cfg = validate_config([(1, 0), (2, 0), (0, 1)], 2)
     bound = Bound.level(25)
-    d = _generate_dense(cfg, bound)
-    s = _generate_sparse(cfg, bound, SizeFunction.coordinate_sum())
-    r = generate_reference(cfg, bound)
-    assert d.points == s.points == r.points
+    assert _generate_dense(cfg, bound).points == generate_reference(cfg, bound).points
 
 
 def test_level_bound_engines_agree_3d():
     cfg = validate_config([(1, 0, 0), (0, 1, 0), (1, 1, 1)], 3)
     bound = Bound.level(14)
-    d = _generate_dense(cfg, bound)
-    s = _generate_sparse(cfg, bound, SizeFunction.coordinate_sum())
-    assert d.points == s.points
+    assert _generate_dense(cfg, bound).points == generate_reference(cfg, bound).points
 
 
 def test_asymmetric_box_mask_correctness():
@@ -369,6 +368,87 @@ def test_dense_engine_matches_frozen_checksums(raw, bound, size, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+_UNITS_3D = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+_UNITS_4D = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+
+# sha256 of ";".join("x,y,...:level") over the points in output order, as
+# computed by the hash-map engine that served these inputs before every
+# size function became a filter over the dense box
+SIZEFN_SHA256 = [
+    (_UNITS_3D, Bound.level(2500), SizeFunction.euclidean_norm_squared(), 3117,
+     "5619ea3feb4760337bac851fb381500f0d22d55a4f95c9874b3289d3040069fd"),
+    ([(1, 0), (2, 0), (0, 1)], Bound.level(90), SizeFunction.weighted_sum((3, "1/2")),
+     515, "c4e473934b18c3c39c7dbde4466555f5d932b06fd0a1dcb3f43301df72bc1b47"),
+    (_UNITS_4D, Bound.level(40), None, 5386,
+     "73c2f39403a682d8508075bc6398f2d05ccb090ad2b1454fca08139b1dee8e53"),
+    ([(1, 0), (0, 1)], Bound.box((9, 9)), PrimeProductSize(2), 35,
+     "6583151e0cc6fba7807ccb7308518fd3259ca6c49fe54b682c7441101aeded68"),
+]
+
+
+@pytest.mark.parametrize("raw,bound,sizefn,size,digest", SIZEFN_SHA256)
+def test_size_functions_match_frozen_checksums(raw, bound, sizefn, size, digest):
+    s = generate(validate_config(raw, len(raw[0])), bound, sizefn)
+    text = ";".join(
+        ",".join(map(str, p)) + ":" + str(l) for p, l in zip(s.points, s.levels)
+    )
+    assert len(s) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_size_function_post_filter_matches_reference(dim, data):
+    """Any admissible f, on a box or a level bound, gives the reference's
+    points and levels: the level bound is served by the box of the axis
+    limits found by search, filtered to f <= c."""
+    raw = data.draw(_points_strategy(dim, max_coord=3), label="initials")
+    cfg = validate_config(raw, dim)
+    weights = st.lists(st.fractions(Fraction(1, 4), 4), min_size=dim, max_size=dim)
+    sizefn = data.draw(st.one_of(
+        st.just(SizeFunction.euclidean_norm_squared()),
+        weights.map(SizeFunction.weighted_sum),
+        st.just(PrimeProductSize(dim)),
+    ), label="f")
+    if data.draw(st.booleans(), label="box"):
+        top = 10 if dim == 2 else 5
+        bound = Bound.box(
+            [data.draw(st.integers(max(p[i] for p in raw), top)) for i in range(dim)]
+        )
+    else:
+        # the level of a random point a little beyond the initials
+        far = data.draw(st.tuples(*[st.integers(0, 8 if dim == 2 else 4)] * dim))
+        bound = Bound.level(max(sizefn.value(p) for p in raw + [far]))
+    a = generate(cfg, bound, sizefn)
+    b = generate_reference(cfg, bound, sizefn)
+    assert (a.points, a.levels) == (b.points, b.levels)
+
+
+@pytest.mark.parametrize("bound,sizefn", [
+    (Bound.box((3, 4)), None),
+    (Bound.level(6), None),
+    (Bound.level(40), SizeFunction.euclidean_norm_squared()),
+    (Bound.level(10**30), PrimeProductSize(2)),
+])
+def test_grid_over_the_cell_limit_raises_before_allocating(monkeypatch, bound, sizefn):
+    cfg = validate_config([(1, 0), (0, 1)], 2)
+    monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", 19)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(core.np, "zeros", no_grid)
+    with pytest.raises(GridTooLarge):
+        generate(cfg, bound, sizefn)
+
+
+def test_grid_at_the_cell_limit_is_generated(monkeypatch):
+    cfg = validate_config([(1, 0), (0, 1)], 2)
+    monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", 20)
+    want = generate_reference(cfg, Bound.box((3, 4))).points
+    assert generate(cfg, Bound.box((3, 4))).points == want
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(1, 30), min_size=2, max_size=3, unique=True))
 def test_dimension_one_box_matches_sequence(initials):
@@ -379,12 +459,10 @@ def test_dimension_one_box_matches_sequence(initials):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3]), st.data())
+@given(st.sampled_from([2, 3, 4]), st.data())
 def test_level_bound_is_the_box_filtered_to_the_level(dim, data):
     """The dense level branch equals the dense box branch over (c,)*d kept
-    to coordinate sum <= c: a box is downward closed, so its slice is exact.
-    Each branch enumerates its levels by the precomputed order or, with
-    _SMALL_GRID_CELLS at 0, by _diag_cells, drawn independently."""
+    to coordinate sum <= c: a box is downward closed, so its slice is exact."""
     units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     with_units = _points_strategy(dim, max_coord=4).map(
         lambda extra: units + [p for p in extra if p not in units][:2]
@@ -392,13 +470,9 @@ def test_level_bound_is_the_box_filtered_to_the_level(dim, data):
     raw = data.draw(_points_strategy(dim, max_coord=4) | with_units, label="initials")
     cfg = validate_config(raw, dim)
     c = data.draw(
-        st.integers(max(sum(p) for p in raw), 40 if dim == 2 else 14), label="c"
+        st.integers(max(sum(p) for p in raw), {2: 40, 3: 14, 4: 16}[dim]), label="c"
     )
-    small = st.sampled_from([0, core._SMALL_GRID_CELLS])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_SMALL_GRID_CELLS", data.draw(small, label="level cells"))
-        level = generate(cfg, Bound.level(c))
-        mp.setattr(core, "_SMALL_GRID_CELLS", data.draw(small, label="box cells"))
-        box = generate(cfg, Bound.box((c,) * dim))
+    level = generate(cfg, Bound.level(c))
+    box = generate(cfg, Bound.box((c,) * dim))
     kept = [(p, f) for p, f in zip(box.points, box.levels) if f <= c]
     assert list(zip(level.points, level.levels)) == kept
