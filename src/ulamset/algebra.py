@@ -15,6 +15,7 @@ decisions (nonnegativity, direction searches), never for kernel membership.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,20 +68,14 @@ class SymbolicVector:
 def sym_vector(coords, symbols: tuple[str, ...] = ()) -> SymbolicVector:
     """Build a SymbolicVector.
 
-    Each coordinate is either a rational number or a mapping/tuple of
-    coefficients over (1, s_1, ..., s_r).  Plain numbers get zero symbol
-    coefficients.
+    Each coordinate is either a rational number or a tuple of coefficients
+    over (1, s_1, ..., s_r).  Plain numbers get zero symbol coefficients.
     """
     entries = []
     width = 1 + len(symbols)
     for c in coords:
         if isinstance(c, (int, Fraction)):
             row = (Fraction(c),) + (Fraction(0),) * len(symbols)
-        elif isinstance(c, dict):
-            row = [Fraction(c.get("", c.get(1, 0)))]
-            for s in symbols:
-                row.append(Fraction(c.get(s, 0)))
-            row = tuple(row)
         else:
             row = tuple(Fraction(x) for x in c)
             if len(row) != width:
@@ -113,6 +108,8 @@ def _coerce_vectors(config) -> list[SymbolicVector]:
                 raise DimensionMismatch("vectors declare different symbol tables")
             symbols = v.symbols
     dim = vecs[0].dim
+    if dim == 0:
+        raise DimensionMismatch("vectors have no coordinates")
     out = []
     for v in vecs:
         if v.dim != dim:
@@ -175,46 +172,17 @@ def row_hnf(rows) -> tuple[tuple[int, ...], ...]:
 
 
 def integer_kernel(rows) -> tuple[tuple[int, ...], ...]:
-    """HNF basis of {x in Z^k : M x = 0} for an integer matrix M (rows)."""
+    """HNF basis of {x in Z^k : M x = 0} for an integer matrix M (rows).
+
+    Row-reduce [M^T | I_k]: the rows whose M^T part vanishes span the
+    kernel, and in the HNF of the whole matrix they already form its HNF.
+    """
     rows = [list(map(int, r)) for r in rows]
     if not rows:
         return ()
     m, k = len(rows), len(rows[0])
-    # row-reduce [M^T | I_k]; rows whose M^T part vanishes give the kernel
-    aug = [[rows[j][i] for j in range(m)] + [int(i == t) for t in range(k)]
-           for i in range(k)]
-    red = _hnf_full(aug, m)
-    kern = [row[m:] for row in red if not any(row[:m])]
-    return row_hnf(kern)
-
-
-def _hnf_full(mat, ncols_left) -> list[list[int]]:
-    """Row HNF keeping all rows (zero left-parts sink to the bottom)."""
-    mat = [list(r) for r in mat]
-    m = len(mat)
-    k = len(mat[0])
-    r = 0
-    for c in range(ncols_left):
-        while True:
-            nz = [i for i in range(r, m) if mat[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(mat[i][c]))
-            mat[r], mat[i0] = mat[i0], mat[r]
-            done = True
-            for i in range(r + 1, m):
-                if mat[i][c]:
-                    q = mat[i][c] // mat[r][c]
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-                    if mat[i][c]:
-                        done = False
-            if done:
-                break
-        if r < m and mat[r][c] != 0:
-            r += 1
-            if r == m:
-                break
-    return mat
+    aug = [[r[i] for r in rows] + [int(i == t) for t in range(k)] for i in range(k)]
+    return tuple(row[m:] for row in row_hnf(aug) if not any(row[:m]))
 
 
 @dataclass(frozen=True)
@@ -242,21 +210,14 @@ def characteristic_lattice(config) -> CharacteristicLattice:
     k = len(vecs)
     width = 1 + len(vecs[0].symbols)
     dim = vecs[0].dim
-    # one constraint row per (coordinate, basis element of {1, symbols})
-    rows: list[list[int]] = []
+    # one constraint row per (coordinate, basis element of {1, symbols});
+    # an all-zero row leaves the kernel unchanged
+    rows = []
     for i in range(dim):
         for t in range(width):
             frs = [v.entries[i][t] for v in vecs]
-            if all(f == 0 for f in frs):
-                continue
-            lcm = 1
-            for f in frs:
-                lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
+            lcm = math.lcm(*(f.denominator for f in frs))
             rows.append([int(f * lcm) for f in frs])
-    if not rows:
-        # all vectors zero: excluded upstream, but keep the math total
-        return CharacteristicLattice(k, row_hnf([[int(i == j) for j in range(k)]
-                                                 for i in range(k)]))
     return CharacteristicLattice(k, integer_kernel(rows))
 
 
@@ -281,14 +242,20 @@ def is_generic(config) -> bool:
 # One-dimensional embedding via prime logarithms
 
 
-def _first_primes(n: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _first_primes(n: int) -> tuple[int, ...]:
     primes: list[int] = []
     c = 2
     while len(primes) < n:
         if all(c % p for p in primes):
             primes.append(c)
         c += 1
-    return primes
+    return tuple(primes)
+
+
+def _prime_product(exponents):
+    """prod p_i^e_i over the first primes: the exact order of the embedding."""
+    return math.prod(p ** e for p, e in zip(_first_primes(len(exponents)), exponents))
 
 
 @dataclass(frozen=True)
@@ -301,18 +268,11 @@ class PrimeLogReal:
 
     exponents: tuple[int, ...]
 
-    def _key(self) -> int:
-        primes = _first_primes(len(self.exponents))
-        out = 1
-        for p, e in zip(primes, self.exponents):
-            out *= p ** e
-        return out
-
     def __lt__(self, other) -> bool:
-        return self._key() < other._key()
+        return _prime_product(self.exponents) < _prime_product(other.exponents)
 
     def __le__(self, other) -> bool:
-        return self._key() <= other._key()
+        return _prime_product(self.exponents) <= _prime_product(other.exponents)
 
     def __add__(self, other) -> "PrimeLogReal":
         return PrimeLogReal(
@@ -354,14 +314,10 @@ class PrimeProductSize:
     kind = "prime-product"
 
     def __init__(self, dim: int):
-        self.primes = _first_primes(dim)
         self.dim = dim
 
     def value(self, p):
-        out = 1
-        for q, e in zip(self.primes, p):
-            out *= q ** e
-        return out
+        return _prime_product(p)
 
     def check_dim(self, dim: int) -> None:
         if dim != self.dim:
@@ -370,10 +326,6 @@ class PrimeProductSize:
 
 # ---------------------------------------------------------------------------
 # Integer-lattice embedding
-
-
-def _flatten(v: SymbolicVector) -> list[Fraction]:
-    return [c for row in v.entries for c in row]
 
 
 def _rref(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -401,6 +353,18 @@ def _rref(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat, pivots
 
 
+def _span_coordinates(flat):
+    """Greedy input-order spanning subset Q of the vectors, and the rational
+    coordinates of every vector over Q.
+
+    One RREF of the matrix whose columns are the vectors: its pivot columns
+    are the vectors outside the span of the earlier ones, and the first
+    len(Q) entries of column i are the coordinates of vector i.
+    """
+    red, q_idx = _rref([list(col) for col in zip(*flat)])
+    return q_idx, [[red[j][i] for j in range(len(q_idx))] for i in range(len(flat))]
+
+
 def embed_integer_lattice(config, symbol_values=None) -> InitialConfig:
     """Replace a nonnegative real configuration by an integer one with the
     same characteristic lattice.
@@ -421,8 +385,6 @@ def embed_integer_lattice(config, symbol_values=None) -> InitialConfig:
             raise ValueError(
                 f"symbol {s!r} needs a numeric value for sign decisions"
             )
-    k = len(vecs)
-
     for v in vecs:
         if v.is_zero():
             raise ZeroVector("zero vector in configuration")
@@ -440,38 +402,8 @@ def embed_integer_lattice(config, symbol_values=None) -> InitialConfig:
                 "coordinates evaluate to zero"
             )
 
-    flat = [_flatten(v) for v in vecs]
-
-    # greedy minimal spanning subset, in input order
-    q_idx: list[int] = []
-    basis: list[list[Fraction]] = []
-    for i, fv in enumerate(flat):
-        resid = fv[:]
-        for b in basis:
-            piv = next(j for j, c in enumerate(b) if c != 0)
-            if resid[piv] != 0:
-                f = resid[piv] / b[piv]
-                resid = [a - f * c for a, c in zip(resid, b)]
-        if any(c != 0 for c in resid):
-            basis.append(resid)
-            q_idx.append(i)
-    l = len(q_idx)
-
-    # rational coordinates of every vector over Q
-    qmat = [[flat[qi][row] for qi in q_idx] for row in range(len(flat[0]))]
-    sols: list[list[Fraction]] = []
-    for i in range(k):
-        aug = [qrow + [flat[i][row]] for row, qrow in enumerate(qmat)]
-        red, pivots = _rref(aug)
-        coeff = [Fraction(0)] * l
-        for r, c in enumerate(pivots):
-            if c == l:
-                raise IndependenceViolated(
-                    "vector outside the span of the chosen subset"
-                )
-            coeff[c] = red[r][l]
-        sols.append(coeff)
-    u = sols  # u[i] in Q^l, with u[q_idx[j]] = e_j
+    q_idx, u = _span_coordinates([[c for row in v.entries for c in row] for v in vecs])
+    l = len(q_idx)  # u[i] in Q^l, with u[q_idx[j]] = e_j
 
     # component-sum direction of Q, approximated by a rational vector with
     # power-of-two denominators until all dot products are exactly positive
@@ -494,16 +426,10 @@ def embed_integer_lattice(config, symbol_values=None) -> InitialConfig:
     while 1 + m_shift * sum(uperp) == 0:
         m_shift += 1
 
-    ys = [
-        [ci + m_shift * d * Fraction(1) for ci in ui]
-        for ui, d in zip(u, (sum(ci * wi for ci, wi in zip(ui, uperp)) for ui in u))
-    ]
+    ys = [[ci + m_shift * d for ci in ui] for ui, d in zip(u, dots)]
     assert all(c > 0 for y in ys for c in y)
 
-    denom = 1
-    for y in ys:
-        for c in y:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for y in ys for c in y))
     w = [tuple(int(c * denom) for c in y) for y in ys]
     out = validate_config(w, l)
 
@@ -570,10 +496,7 @@ def normalize_axes_2d(config: InitialConfig) -> AxisNormalization:
     c2 = min(p[0] / p[1] for p in with_y) if with_y else Fraction(0)
     final = [(x - c2 * y, y) for x, y in sheared]
 
-    denom = 1
-    for x, y in final:
-        for c in (x, y):
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for p in final for c in p))
     ints = [(int(x * denom), int(y * denom)) for x, y in final]
     out = validate_config(ints, 2)
 

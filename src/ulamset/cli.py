@@ -367,6 +367,8 @@ def _cmd_columns(args) -> int:
 
 
 def _cmd_signal(args) -> int:
+    if args.csv_points < 1:
+        raise ValueError("--csv-points must be at least 1")
     if args.set_init:
         # exploratory: scan x-coordinates of members along a fixed row
         initials = parse_point_list(args.set_init)
@@ -416,20 +418,7 @@ def _cmd_signal(args) -> int:
 
 def _cmd_verify(args) -> int:
     oracle = get_oracle(args.oracle, args.m, args.n)
-    if args.init:
-        initials = parse_point_list(args.init)
-    else:
-        initials = {
-            "two-generators": [(1, 0), (0, 1)],
-            "config-2_0-0_1-3_1": [(2, 0), (0, 1), (3, 1)],
-            "config-1_0-0_1-2_3": [(1, 0), (0, 1), (2, 3)],
-            "unit3d-hyperplane": [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-        }.get(oracle.oracle_id)
-        if initials is None and args.m is not None:
-            initials = [(1, 0), (0, 1), (args.m, args.n)]
-        if initials is None:
-            print(f"--init is required for oracle {args.oracle!r}", file=sys.stderr)
-            return 2
+    initials = parse_point_list(args.init) if args.init else oracle.initials
     cfg = validate_config(initials, len(initials[0]))
     bound = _bound_from_args(args, cfg.dim)
     uset = generate(cfg, bound)

@@ -221,6 +221,8 @@ def columns_report(
     """
     if uset.dim != 2 or uset.bound.kind != "box":
         raise RangeExceedsBound("column reports need a box-bounded planar set")
+    if step < 1:
+        raise ValueError("need step >= 1")
     other = 1 - axis
     hi_sweep = uset.bound.limits[axis]
     hi_index = uset.bound.limits[other]

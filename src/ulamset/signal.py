@@ -174,8 +174,8 @@ def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
     round evaluated by ``_grid_sums``.  The refined value never exceeds the
     coarse minimum.
     """
-    if grid_step > 1e-4:
-        raise ValueError("grid step must be at most 1e-4")
+    if not 0 < grid_step <= 1e-4:
+        raise ValueError(f"grid step must be in (0, 1e-4], got {grid_step}")
     terms = np.asarray(seq.terms, dtype=np.int64)
     n = terms.size
     m, spectrum = fourier_sums(terms, grid_step)

@@ -119,6 +119,7 @@ class Oracle:
     scope: object = None    # callable point -> bool; None means everywhere
     degenerate: bool = False
     params: tuple = ()
+    initials: tuple = ()    # the configuration the oracle characterizes
 
     def in_scope(self, p) -> bool:
         return self.scope is None or self.scope(p)
@@ -134,10 +135,11 @@ def extra_vector_oracle(m: int, n: int) -> Oracle:
     """
     if m < 1 or n < 1:
         raise BadParameters(f"extra vector ({m},{n}) must be positive")
+    initials = ((1, 0), (0, 1), (m, n))
     if two_generator_member(m, n):
         return Oracle(
             "two-generators", 2, lambda p: two_generator_member(*p),
-            degenerate=True, params=(m, n),
+            degenerate=True, params=(m, n), initials=initials,
         )
     if m % 2 == 1:
         # mirror of an even-m shape; normalize by swapping axes
@@ -145,7 +147,7 @@ def extra_vector_oracle(m: int, n: int) -> Oracle:
         return Oracle(
             inner.oracle_id + "-transposed", 2,
             lambda p: inner.member((p[1], p[0])),
-            degenerate=inner.degenerate, params=(m, n),
+            degenerate=inner.degenerate, params=(m, n), initials=initials,
         )
     if n % 2 == 0:
         if m < 4 or n < 4:
@@ -153,6 +155,7 @@ def extra_vector_oracle(m: int, n: int) -> Oracle:
         return Oracle(
             "extra-vector-even-even", 2,
             lambda p: _case1_member(m, n, p[0], p[1]), params=(m, n),
+            initials=initials,
         )
     if n == 3:
         if m < 4:
@@ -160,28 +163,33 @@ def extra_vector_oracle(m: int, n: int) -> Oracle:
         return Oracle(
             "extra-vector-shifted", 2,
             lambda p: _case3_member(m, p[0], p[1]), params=(m, n),
+            initials=initials,
         )
     if m < 4:
         raise BadParameters(f"truncated-column shape needs m >= 4, got ({m},{n})")
     return Oracle(
         "extra-vector-truncated", 2,
         lambda p: _case2_member(m, n, p[0], p[1]), params=(m, n),
+        initials=initials,
     )
 
 
 _FIXED_ORACLES = {
     "two-generators": lambda: Oracle(
-        "two-generators", 2, lambda p: two_generator_member(*p)
+        "two-generators", 2, lambda p: two_generator_member(*p),
+        initials=((1, 0), (0, 1)),
     ),
     "config-2_0-0_1-3_1": lambda: Oracle(
-        "config-2_0-0_1-3_1", 2, lambda p: _axes_2_3_member(*p)
+        "config-2_0-0_1-3_1", 2, lambda p: _axes_2_3_member(*p),
+        initials=((2, 0), (0, 1), (3, 1)),
     ),
     "config-1_0-0_1-2_3": lambda: Oracle(
-        "config-1_0-0_1-2_3", 2, lambda p: _axes_2_3_extra_member(*p)
+        "config-1_0-0_1-2_3", 2, lambda p: _axes_2_3_extra_member(*p),
+        initials=((1, 0), (0, 1), (2, 3)),
     ),
     "unit3d-hyperplane": lambda: Oracle(
         "unit3d-hyperplane", 3, _unit3d_plane_member,
-        scope=lambda p: p[0] == 2,
+        scope=lambda p: p[0] == 2, initials=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
     ),
 }
 

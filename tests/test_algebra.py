@@ -11,16 +11,23 @@ from ulamset.algebra import (
     AxisNormalization,
     PrimeLogReal,
     PrimeProductSize,
+    _span_coordinates,
     characteristic_lattice,
     embed_integer_lattice,
     embed_one_dimensional,
+    integer_kernel,
     is_generic,
     normalize_axes_2d,
     row_hnf,
     structurally_equivalent,
     sym_vector,
 )
-from ulamset.errors import DegenerateSpan, MismatchedArity, NonPositiveDirection
+from ulamset.errors import (
+    DegenerateSpan,
+    DimensionMismatch,
+    MismatchedArity,
+    NonPositiveDirection,
+)
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -53,6 +60,102 @@ def test_hnf_canonical_under_generator_shuffle():
     for _ in range(20):
         rng.shuffle(gens)
         assert row_hnf(gens) == want
+
+
+# The former kernel routine: a second HNF pass that stops after the M^T
+# columns, then a separate HNF of the rows whose M^T part vanished.
+def _former_hnf_full(mat, ncols_left):
+    mat = [list(r) for r in mat]
+    m = len(mat)
+    r = 0
+    for c in range(ncols_left):
+        while True:
+            nz = [i for i in range(r, m) if mat[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(mat[i][c]))
+            mat[r], mat[i0] = mat[i0], mat[r]
+            done = True
+            for i in range(r + 1, m):
+                if mat[i][c]:
+                    q = mat[i][c] // mat[r][c]
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+                    if mat[i][c]:
+                        done = False
+            if done:
+                break
+        if r < m and mat[r][c] != 0:
+            r += 1
+            if r == m:
+                break
+    return mat
+
+
+def _former_integer_kernel(rows):
+    rows = [list(map(int, r)) for r in rows]
+    if not rows:
+        return ()
+    m, k = len(rows), len(rows[0])
+    aug = [[rows[j][i] for j in range(m)] + [int(i == t) for t in range(k)]
+           for i in range(k)]
+    red = _former_hnf_full(aug, m)
+    return row_hnf([row[m:] for row in red if not any(row[:m])])
+
+
+def _former_characteristic_basis(vecs):
+    """Kernel of the integer vectors with zero constraint rows skipped and
+    the identity lattice when no row is left."""
+    k = len(vecs)
+    rows = [list(col) for col in zip(*vecs) if any(col)]
+    if not rows:
+        return row_hnf([[int(i == j) for j in range(k)] for i in range(k)])
+    return _former_integer_kernel(rows)
+
+
+_small_matrices = st.integers(1, 5).flatmap(
+    lambda k: st.lists(
+        st.one_of(
+            st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+            st.just([0] * k),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_matrices)
+def test_integer_kernel_matches_former_routine(rows):
+    got = integer_kernel(rows)
+    assert got == _former_integer_kernel(rows)
+    assert row_hnf(got) == got  # canonical as returned
+    for x in got:
+        assert all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows)
+
+
+def test_integer_kernel_of_zero_rows_is_the_identity():
+    for k in range(1, 5):
+        identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        assert integer_kernel([[0] * k]) == identity
+        assert integer_kernel([[0] * k, [0] * k]) == identity
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(
+        st.lists(st.integers(0, 4), min_size=d, max_size=d), min_size=1, max_size=5
+    )
+))
+def test_characteristic_lattice_keeps_zero_rows(vecs):
+    # zero coordinates (and all-zero vectors) give all-zero constraint rows
+    got = characteristic_lattice([tuple(v) for v in vecs]).basis
+    assert got == _former_characteristic_basis(vecs)
+
+
+def test_zero_dimensional_vectors_rejected():
+    with pytest.raises(DimensionMismatch):
+        characteristic_lattice([()])
 
 
 def test_hnf_pivots_positive_and_reduced():
@@ -167,6 +270,19 @@ def test_prime_log_ordering_is_exact():
     assert not PrimeLogReal((0, 12)) < PrimeLogReal((19, 0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(*[st.lists(st.integers(0, 12), min_size=d, max_size=d)] * 2)
+))
+def test_prime_log_order_is_the_prime_product_order(pair):
+    a, b = (tuple(e) for e in pair)
+    size = PrimeProductSize(len(a))
+    pa, pb = size.value(a), size.value(b)
+    assert pa == math.prod(p ** e for p, e in zip((2, 3, 5, 7), a))
+    assert (PrimeLogReal(a) < PrimeLogReal(b)) == (pa < pb)
+    assert (PrimeLogReal(a) <= PrimeLogReal(b)) == (pa <= pb)
+
+
 def test_embedded_order_replays_lattice_generation():
     cfg = validate_config([(1, 0), (0, 1)], 2)
     ordered = generate(cfg, Bound.box((9, 9)), PrimeProductSize(2))
@@ -206,6 +322,102 @@ def test_embed_integer_lattice_preserves_kernel(vecs, values):
     assert 1 <= out.dim <= len(vecs)
     assert characteristic_lattice(out).basis == characteristic_lattice(vecs).basis
     assert all(all(c > 0 for c in p) for p in out.initials)
+
+
+# Outputs of the former embedding (a greedy spanning loop plus one solve
+# per vector), frozen for EMBED_CASES in order.
+FORMER_EMBED_OUTPUTS = [
+    ((2, 1), (2, 3)),
+    ((4, 3, 3), (2, 3, 2), (5, 5, 6)),
+    ((2, 1, 1), (2, 3, 2), (4, 4, 5)),
+    ((6,), (9,), (15,)),
+    ((2, 1), (1, 2), (3, 3)),
+    ((3, 2), (2, 3), (5, 5)),
+    ((4, 3), (3, 4), (7, 7)),
+    ((2, 1), (4, 2), (1, 2)),
+    ((90, 81), (81, 90), (127, 139)),
+    ((8, 7), (4, 5)),
+    ((7, 6), (14, 12), (1, 2)),
+]
+
+
+def test_embed_outputs_unchanged():
+    for (vecs, values), want in zip(EMBED_CASES, FORMER_EMBED_OUTPUTS, strict=True):
+        assert embed_integer_lattice(vecs, values).initials == want
+
+
+def _former_rref(mat):
+    mat = [row[:] for row in mat]
+    m = len(mat)
+    k = len(mat[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(k):
+        pr = next((i for i in range(r, m) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [a * inv for a in mat[r]]
+        for i in range(m):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return mat, pivots
+
+
+def _former_span_coordinates(flat):
+    """Greedy input-order spanning subset, then one solve per vector."""
+    q_idx, basis = [], []
+    for i, fv in enumerate(flat):
+        resid = fv[:]
+        for b in basis:
+            piv = next(j for j, c in enumerate(b) if c != 0)
+            if resid[piv] != 0:
+                f = resid[piv] / b[piv]
+                resid = [a - f * c for a, c in zip(resid, b)]
+        if any(c != 0 for c in resid):
+            basis.append(resid)
+            q_idx.append(i)
+    l = len(q_idx)
+    qmat = [[flat[qi][row] for qi in q_idx] for row in range(len(flat[0]))]
+    sols = []
+    for fv in flat:
+        red, pivots = _former_rref([qrow + [fv[row]] for row, qrow in enumerate(qmat)])
+        coeff = [Fraction(0)] * l
+        for r, c in enumerate(pivots):
+            assert c != l, "vector outside the span of the chosen subset"
+            coeff[c] = red[r][l]
+        sols.append(coeff)
+    return q_idx, sols
+
+
+_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.one_of(
+            st.lists(_fractions, min_size=n, max_size=n),
+            st.lists(st.integers(-2, 2).map(Fraction), min_size=n, max_size=n),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+))
+def test_span_coordinates_match_former_routine(flat):
+    q_idx, u = _span_coordinates(flat)
+    want_idx, want_u = _former_span_coordinates(flat)
+    assert q_idx == want_idx
+    assert u == want_u
+    for fv, ui in zip(flat, u):  # every vector is rebuilt from Q exactly
+        assert fv == [sum(c * flat[qi][r] for c, qi in zip(ui, q_idx))
+                      for r in range(len(fv))]
 
 
 def test_embed_generic_input_gives_trivial_kernel():
@@ -249,6 +461,16 @@ def test_normalize_places_vectors_on_both_axes():
     assert characteristic_lattice(pts).basis == characteristic_lattice(
         [(1, 0), (1, 1), (5, 3)]
     ).basis
+
+
+def test_normalize_outputs_unchanged():
+    # frozen outputs of the former routine
+    res = normalize_axes_2d(validate_config([(3, 7), (5, 2), (4, 4)], 2))
+    assert res.config.initials == ((0, 841), (725, 0), (400, 348))
+    assert res.matrix == ((175, -75), (-58, 145))
+    res = normalize_axes_2d(validate_config([(2, 5), (3, 1)], 2))
+    assert res.config.initials == ((0, 13), (9, 0))
+    assert res.matrix == ((Fraction(45, 13), Fraction(-18, 13)), (-1, 3))
 
 
 def test_normalize_degenerate_span():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ulamset import Bound, core, generate, validate_config
+from ulamset import Bound, cli, core, generate, validate_config
 from ulamset.cli import (
     export_svg,
     parse_point_list,
@@ -69,6 +69,21 @@ def test_verify_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_verify_degenerate_extra_vector_generates_the_requested_set(monkeypatch, capsys):
+    # (5,7) lies in the two-generator set, so the oracle is the plain
+    # lattice, but the set generated is still {(1,0),(0,1),(5,7)}
+    seen = []
+
+    def recording_generate(cfg, bound, *rest):
+        seen.append(cfg.initials)
+        return generate(cfg, bound, *rest)
+
+    monkeypatch.setattr(cli, "generate", recording_generate)
+    assert run(["verify", "extra-vector", "--m", "5", "--n", "7", "--box", "30,30"]) == 0
+    assert seen == [((1, 0), (0, 1), (5, 7))]
+    assert capsys.readouterr().out.startswith("verified: two-generators on ")
+
+
 def test_equiv_exit_codes(capsys):
     assert run(["equiv", "--a", "(1,0),(0,1),(1,1)", "--b", "(2,0),(0,2),(2,2)"]) == 0
     assert run(["equiv", "--a", "(1,0),(0,1),(1,1)", "--b", "(1,0),(0,1),(1,2)"]) == 1
@@ -132,6 +147,44 @@ def test_signal_cli_scan(tmp_path, capsys):
     rows = csv.read_text().splitlines()
     assert rows[0] == "alpha,normalized_sum"
     assert len(rows) > 1000
+
+
+@pytest.mark.parametrize("step", ["--coarse-step=0", "--coarse-step=-1e-5"])
+def test_signal_cli_rejects_nonpositive_coarse_step(capsys, step):
+    assert run(["signal", "--init", "1,2", "--terms", "200", step]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_signal_cli_rejects_zero_csv_points(tmp_path, capsys):
+    csv = tmp_path / "scan.csv"
+    code = run(["signal", "--init", "1,2", "--terms", "200",
+                "--csv-out", str(csv), "--csv-points", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not csv.exists()
+
+
+def test_signal_cli_row_mode(capsys):
+    # row 1 of {(1,0),(0,1)} is (x,1) for every x, so the scanned sequence
+    # is 1..40; just below pi the cosine is about (-1)^x
+    code = run(["signal", "--set-init", "(1,0),(0,1)", "--box", "40,40", "--row", "1",
+                "--alpha", "3.141592653589793"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["terms"] == 40
+    assert doc["sign_exceptions"] == list(range(2, 41, 2))
+    assert abs(doc["normalized_sum"]) < 1e-12
+    # row 0 holds only (1,0)
+    assert run(["signal", "--set-init", "(1,0),(0,1)", "--box", "40,40", "--row", "0"]) == 1
+    assert "too few members" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-2"])
+def test_columns_cli_rejects_step_below_one(capsys, step):
+    assert run(["columns", "--init", "(1,0),(0,1)", "--box", "5,20", "--step", step]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_embed_and_normalize_cli(capsys):

@@ -319,3 +319,10 @@ def test_columns_report_step_two():
     assert rep.profiles  # per-residue profiles exist
     for prof in rep.profiles:
         assert prof.residue in (0, 1)
+
+
+@pytest.mark.parametrize("step", [0, -2])
+def test_columns_report_rejects_step_below_one(step):
+    s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((5, 20)))
+    with pytest.raises(ValueError):
+        columns_report(s, step=step)

@@ -75,6 +75,13 @@ def test_scan_rejects_coarse_grid():
         alpha_scan(seq, grid_step=1e-3)
 
 
+@pytest.mark.parametrize("grid_step", [0.0, -1e-5, math.nan])
+def test_scan_rejects_nonpositive_grid_step(grid_step):
+    seq = ulam_sequence((1, 2), 100)
+    with pytest.raises(ValueError):
+        alpha_scan(seq, grid_step=grid_step)
+
+
 def test_other_initials_show_the_phenomenon():
     # regression constants computed by this scan, frozen
     seq = ulam_sequence((2, 3), 10000)

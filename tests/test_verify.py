@@ -91,6 +91,25 @@ def test_degenerate_extra_vector_falls_back_to_lattice():
     assert rep.ok
 
 
+@pytest.mark.parametrize(
+    "oracle_id,m,n,initials",
+    [
+        ("two-generators", None, None, ((1, 0), (0, 1))),
+        ("config-2_0-0_1-3_1", None, None, ((2, 0), (0, 1), (3, 1))),
+        ("config-1_0-0_1-2_3", None, None, ((1, 0), (0, 1), (2, 3))),
+        ("unit3d-hyperplane", None, None, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        ("extra-vector", 6, 4, ((1, 0), (0, 1), (6, 4))),
+        ("extra-vector", 5, 6, ((1, 0), (0, 1), (5, 6))),    # transposed
+        ("extra-vector", 5, 7, ((1, 0), (0, 1), (5, 7))),    # degenerate
+        ("extra-vector", 3, 10, ((1, 0), (0, 1), (3, 10))),  # transposed
+    ],
+)
+def test_oracle_carries_its_initial_configuration(oracle_id, m, n, initials):
+    oracle = get_oracle(oracle_id, m, n)
+    assert oracle.initials == initials
+    assert len(initials[0]) == oracle.dim
+
+
 def test_fault_injection_detected():
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((20, 20)))
     pts = tuple(p for p in s.points if p != (3, 5))
