@@ -267,7 +267,7 @@ def _cmd_generate(args) -> int:
         initials = parse_point_list(args.init)
         dim = args.dim or len(initials[0])
 
-    if dim == 1 and args.terms:
+    if dim == 1 and args.terms is not None:
         seq = ulam_sequence([p[0] for p in initials], args.terms)
         if args.format == "json":
             doc = {

@@ -92,6 +92,8 @@ def detect_eventual_period(
     _check_word(word, "01")
     if min_evidence < 3:
         raise ValueError("min_evidence must be at least 3")
+    if max_period < 1:
+        raise ValueError("max_period must be at least 1")
     n = len(word)
     a = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
     best: tuple[int, int] | None = None
@@ -223,6 +225,8 @@ def columns_report(
         raise RangeExceedsBound("column reports need a box-bounded planar set")
     if step < 1:
         raise ValueError("need step >= 1")
+    if max_period < 1:
+        raise ValueError("max_period must be at least 1")
     other = 1 - axis
     hi_sweep = uset.bound.limits[axis]
     hi_index = uset.bound.limits[other]

@@ -20,6 +20,7 @@ agree on every input; the test suite checks this on many small instances.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -39,21 +40,34 @@ from .errors import (
 
 Point = tuple[int, ...]
 
-# Largest dense grid, in cells.  The counts take 2 B per cell and the box
-# branch's member grid 2 B more, so the limit is 300-600 MB; a larger request
-# raises GridTooLarge before anything is allocated.
+# Largest dense grid, in cells.  The counts take 1 B per cell on a box and 2 B
+# on a level bound, and the box branch's member grid 1 B more, so the limit is
+# 300 MB; a larger request raises GridTooLarge before anything is allocated.
 _DENSE_CELL_LIMIT = 150_000_000
 
-# Admissions between two clamps of the dense engine's uint16 counts.
-_CLAMP_EVERY = 2**16 - 3
+# Count dtype of the dense engine per bound kind.  The counts saturate (see
+# _generate_dense), so a clamp every max - 2 admissions keeps them exact.
+# uint8 halves the bytes each box slice-add streams (0.06 against 0.10 ns per
+# cell over a whole 71 x 3001 grid), and a uint8 clamp of that grid costs
+# about 15 us, well under 1 us per admission.  The level branch keeps uint16:
+# a uint8 clamp of the 471^3 grid costs about 15 ms, and a level-470 run would
+# clamp 670 times (10 s, against two clamps with uint16).
+_COUNT_DTYPE = {"box": np.uint8, "level": np.uint16}
+
+# Admissions between two clamps, per bound kind, and the cells per numpy call
+# of one clamp.
+_CLAMP_EVERY = {kind: int(np.iinfo(dt).max) - 2 for kind, dt in _COUNT_DTYPE.items()}
+_CLAMP_CHUNK = 1 << 16
 
 # The dense box branch updates the counts for a new member w by a slice-add
 # over the box beyond w when that volume is below this many cells per member,
-# and by gathering the members inside the box otherwise.  Measured on a
-# 71 x 3001 grid (2-vCPU Xeon): the uint16 slice-add costs 0.11-0.47 ns per
-# cell, the gather (d compares, a masked take, a scatter) 2-14 ns per member,
-# about 9 ns in the middle of the run; 9 / 0.15 is about 60.  Values from 16
-# to 128 time the same on the criterion-10 boxes; 4 is 1.5x slower.
+# and by gathering the members inside the box otherwise.  Measured with uint8
+# counts over a (70,3000) run (2-vCPU Xeon): the slice-adds average 0.26 ns
+# per cell, call overhead included (0.06 ns on a whole grid, up to 0.5 ns on
+# small boxes), the gathers (d compares, a masked take, a scatter) about 15 ns
+# per member; 15 / 0.26 is about 60.  From 64 to 256 the column boxes time
+# within 3 %; at 128 and over, a 3-D post-filter box (50,50,50) is 12 % slower,
+# and with slice-adds only 27 % slower.
 _SLICE_PER_MEMBER = 64
 
 
@@ -275,6 +289,19 @@ def _axis_limit(sizefn, dim: int, axis: int, cap) -> int:
 # Dense engine: numpy grids, coordinate-sum levels.
 
 
+def _clamp(counts, twos) -> None:
+    """Map every count >= 2 to 2, in place, in chunks of ``twos.size``.
+
+    numpy 2.4 has no SIMD loop for the minimum of an integer array and a
+    scalar: it runs at about 1 ns per cell, against 0.07 ns for the minimum
+    of two arrays, so the counts are clamped chunk by chunk against ``twos``.
+    """
+    step = twos.size
+    for i in range(0, counts.size, step):
+        part = counts[i:i + step]
+        np.minimum(part, twos[:part.size], out=part)
+
+
 def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
     d = config.dim
     if bound.kind == "box":
@@ -306,31 +333,35 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
             psum = (psum[:, None] + np.arange(dims[i])).ravel()
             poff = (poff[:, None] + np.arange(dims[i]) * strides[i]).ravel()
     order = np.argsort(psum)
-    psum, poff = psum[order], poff[order]
-    starts = np.searchsorted(psum, np.arange(lmax + 2))
+    psum = psum[order]
+    pbase = poff[order] - psum * strides[j]  # flat index at level L: + L * strides[j]
+    starts = np.searchsorted(psum, np.arange(lmax + 2)).tolist()
+    sj = int(strides[j])
 
     def cells_at(L):
-        lo, hi = starts[max(L - limits[j], 0)], starts[L + 1]
-        return poff[lo:hi] + (L - psum[lo:hi]) * strides[j]
+        return pbase[starts[max(L - limits[j], 0)]:starts[L + 1]] + L * sj
 
     # Saturating counts: only the states 0, 1 and >= 2 matter.  Each
     # admission adds at most 1 to any cell (its targets u + w are distinct),
-    # and after a clamp every value is <= 2, so no cell can pass 65 535
-    # within _CLAMP_EVERY admissions of the last clamp.  A clamp maps every
-    # value >= 2 to 2, so the test counts == 1 never changes.  (uint8 would
-    # need a clamp, one pass over the grid, every 253 admissions.)
-    counts = np.zeros(cells, dtype=np.uint16)
+    # and after a clamp every value is <= 2, so no cell can pass the dtype's
+    # maximum within _CLAMP_EVERY admissions of the last clamp.  A clamp maps
+    # every value >= 2 to 2, so the test counts == 1 never changes.
+    dtype = _COUNT_DTYPE[bound.kind]
+    clamp_every = _CLAMP_EVERY[bound.kind]
+    counts = np.zeros(cells, dtype=dtype)
     counts_nd = counts.reshape(dims)
+    twos = np.full(min(cells, _CLAMP_CHUNK), 2, dtype=dtype)
     if cap is None:
         # the member grid has the counts' dtype, so the slice-add never casts
-        member_nd = np.zeros(dims, dtype=counts.dtype)
+        member = np.zeros(cells, dtype=dtype)
+        member_nd = member.reshape(dims)
 
-    # member storage in admission order (levels nondecreasing); coordinates
-    # are (d, capacity), so the box mask is d contiguous 1-D compares
-    mcap = 1024
-    mcoords = np.empty((d, mcap), dtype=np.int64)
-    mflats = np.empty(mcap, dtype=np.int64)
-    mlevels = np.empty(mcap, dtype=np.int64)
+    # member records in admission order, one column each: the d coordinates
+    # and the flat index.  Rows are contiguous, so the box mask is d 1-D
+    # compares.  The levels (nondecreasing) are a list that shares one int
+    # object per level, so the output's levels take no memory per point.
+    records = np.empty((d + 1, 1024), dtype=np.int64)
+    out_levels: list[int] = []
     n = 0
     since_clamp = 0
 
@@ -339,66 +370,74 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
         fl = int(sum(c * s for c, s in zip(v, strides)))
         init_by_level.setdefault(sum(v), []).append(fl)
 
-    out_pts: list[Point] = []
-    out_levels: list[int] = []
+    stride_list = strides.tolist()
+    ends = [l + 1 for l in limits]
+    open_ends = (None,) * d
 
     for L in range(lmax + 1):
         flats_l = cells_at(L)
-        batch: set[int] = set()
-        if flats_l.size:
-            # counts == 1 needs no "not a member" test: level L's batch,
-            # initials included, is admitted only after this selection
-            sel = counts[flats_l] == 1
-            if sel.any():
-                batch.update(flats_l[sel].tolist())
-        batch.update(init_by_level.get(L, ()))
-        if not batch:
+        if L in init_by_level:
+            # initials are admitted whatever their count; no later step
+            # reads a cell of level L
+            counts[init_by_level[L]] = 1
+        # counts == 1 needs no "not a member" test: level L's batch,
+        # initials included, is admitted only after this selection.  Flat
+        # order is lex order (C strides), so the points come out sorted.
+        batch = np.sort(flats_l[counts[flats_l] == 1])
+        m = batch.size
+        if not m:
             continue
-        for fl in sorted(batch):  # flat order is lex order (C strides)
-            if n == mcap:
-                mcap *= 2
-                mcoords = np.hstack((mcoords, np.empty_like(mcoords)))
-                mflats = np.resize(mflats, mcap)
-                mlevels = np.resize(mlevels, mcap)
-            if since_clamp == _CLAMP_EVERY:
-                np.minimum(counts, 2, out=counts)
+
+        # record the whole level first; each update below reads only the
+        # first n records, so it still sees only earlier members
+        if n + m > records.shape[1]:
+            grown = np.empty((d + 1, 2 * (n + m)), dtype=np.int64)
+            grown[:, :n] = records[:, :n]
+            records = grown
+        mcoords, mflats = records[:d], records[d]
+        rest = batch
+        for i, s in enumerate(stride_list):
+            mcoords[i, n:n + m], rest = np.divmod(rest, s)
+        mflats[n:n + m] = batch
+        out_levels += [L] * m
+
+        if cap is None:
+            level_coords = zip(*mcoords[:, n:n + m].tolist())
+        else:
+            # members the level's points pair with: level <= cap - L
+            pe_level = bisect_right(out_levels, cap - L)
+        for fl in batch.tolist():
+            if since_clamp == clamp_every:
+                _clamp(counts, twos)
                 since_clamp = 0
             since_clamp += 1
-            rest = fl
-            w = []
-            for s in strides.tolist():
-                w.append(rest // s)
-                rest %= s
             if cap is None:
                 # two equivalent updates; pick the cheaper one per point:
                 # add the member grid beyond w (cost: remaining box volume)
                 # or gather the in-box members (cost: a few passes over n)
-                rem_volume = prod(l - c + 1 for l, c in zip(limits, w))
-                if rem_volume < _SLICE_PER_MEMBER * n:
-                    wslice = tuple(slice(c, None) for c in w)
-                    mslice = tuple(slice(0, l - c + 1) for l, c in zip(limits, w))
-                    counts_nd[wslice] += member_nd[mslice]
+                w = next(level_coords)
+                ext = list(map(operator.sub, ends, w))
+                if prod(ext) < _SLICE_PER_MEMBER * n:
+                    counts_nd[tuple(map(slice, w, open_ends))] += member_nd[tuple(map(slice, ext))]
                 else:
-                    mask = mcoords[0, :n] <= limits[0] - w[0]
+                    mask = mcoords[0, :n] < ext[0]
                     for i in range(1, d):
-                        mask &= mcoords[i, :n] <= limits[i] - w[i]
+                        mask &= mcoords[i, :n] < ext[i]
                     idx = mflats[:n][mask] + fl
                     if idx.size:
                         counts[idx] += 1  # targets u+w distinct for fixed w
-                member_nd[tuple(w)] = 1
+                member[fl] = 1
             else:
-                pe = int(np.searchsorted(mlevels[:n], cap - L, side="right"))
-                idx = mflats[:pe] + fl
+                idx = mflats[:min(pe_level, n)] + fl
                 if idx.size:
                     counts[idx] += 1
-            mcoords[:, n] = w
-            mflats[n] = fl
-            mlevels[n] = L
             n += 1
-            out_pts.append(tuple(w))
-            out_levels.append(L)
 
-    return _assemble(config, SizeFunction.coordinate_sum(), bound, out_pts, out_levels)
+    # admission order is (level, lex) order, so no sort is needed
+    pts = tuple(zip(*records[:d, :n].tolist()))
+    return UlamSet(
+        config, SizeFunction.coordinate_sum(), bound, pts, tuple(out_levels), frozenset(pts)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,21 @@ def test_columns_cli_rejects_step_below_one(capsys, step):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("period", ["0", "-1"])
+def test_columns_cli_rejects_max_period_below_one(capsys, period):
+    assert run(["columns", "--init", "(1,0),(0,1)", "--box", "5,20",
+                "--max-period", period]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_period" in captured.err
+
+
+def test_generate_cli_names_zero_term_count(capsys):
+    assert run(["generate", "--dim", "1", "--init", "1,2", "--terms", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_terms=0 is smaller than the 2 initial terms" in captured.err
+
+
 def test_embed_and_normalize_cli(capsys):
     assert run(["embed", "--init", "(1,0),(1,1*sqrt2)",
                 "--symbols", "sqrt2=1.4142135623730951"]) == 0

@@ -124,6 +124,15 @@ def test_detect_requires_min_evidence():
         detect_eventual_period("0101", min_evidence=2)
 
 
+@pytest.mark.parametrize("max_period", [0, -1])
+def test_max_period_below_one_is_rejected(max_period):
+    with pytest.raises(ValueError, match="max_period"):
+        detect_eventual_period("0101010101", max_period=max_period)
+    uset = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((5, 20)))
+    with pytest.raises(ValueError, match="max_period"):
+        columns_report(uset, max_period=max_period)
+
+
 def test_detect_rejects_bad_alphabet():
     for word in ("", "0120", "01\u00e9"):
         with pytest.raises(BadAlphabet):

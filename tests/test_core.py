@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -331,19 +332,30 @@ def _random_bound(data, raw, dim):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3]), st.data())
 def test_dense_engine_exact_with_frequent_clamps(dim, data):
-    """Clamping the counts after every one to three admissions, with either
-    box update forced or the usual choice, changes no point."""
+    """Clamping the counts after every one to three admissions, in chunks of
+    one to seven cells, with either box update forced or the usual choice,
+    changes no point."""
     raw = data.draw(_points_strategy(dim, max_coord=3), label="initials")
     cfg = validate_config(raw, dim)
     bound = _random_bound(data, raw, dim)
     want = generate_reference(cfg, bound).points
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_CLAMP_EVERY", data.draw(st.integers(1, 3), label="clamp"))
+        clamp = data.draw(st.integers(1, 3), label="clamp")
+        mp.setattr(core, "_CLAMP_EVERY", {"box": clamp, "level": clamp})
+        mp.setattr(core, "_CLAMP_CHUNK", data.draw(st.integers(1, 7), label="chunk"))
         mp.setattr(
             core, "_SLICE_PER_MEMBER",
             data.draw(st.sampled_from([0, core._SLICE_PER_MEMBER, 10**9]), label="c"),
         )
         assert _generate_dense(cfg, bound).points == want
+
+
+def test_clamp_interval_is_dtype_max_minus_two():
+    """Each branch clamps its saturating counts every max - 2 admissions:
+    uint8 counts on a box, uint16 on a level bound."""
+    assert core._COUNT_DTYPE == {"box": np.uint8, "level": np.uint16}
+    for kind, dtype in core._COUNT_DTYPE.items():
+        assert core._CLAMP_EVERY[kind] == np.iinfo(dtype).max - 2
 
 
 # sha256 of ";".join(",".join(coordinates)) over the points in output order,
