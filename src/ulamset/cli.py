@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: generate, columns, signal, verify, equiv, embed, normalize,
-plot.  Exit status is 0 on success or a verified check, 1 on a mismatch or
+Subcommands: generate, columns, signal, verify, equiv, embed, normalize.
+``generate`` writes a lattice set, a one-dimensional sequence or a cyclic
+set as CSV or JSON, and a lattice or cyclic set also as an SVG scatter.
+Exit status is 0 on success or a verified check, 1 on a mismatch or
 violation, 2 on usage errors.  Output is deterministic for fixed inputs:
 CSV rows are sorted by (level, lexicographic) and SVG bytes depend only on
 the rendered set.
@@ -27,28 +29,20 @@ from .algebra import (
 from .columns import columns_report
 from .core import Bound, SizeFunction, UlamSet, generate, validate_config
 from .cyclic import generate_cyclic
-from .errors import UlamError
+from .errors import DimensionMismatch, UlamError
 from .onedim import Sequence1D, ulam_sequence
 from .signal import alpha_scan, cosine_sum, sign_exception_set
 from .verify import compare_set_to_oracle, get_oracle
-
-_COORD_NAMES = ("x", "y", "z")
-
-
-def _axis_names(dim: int) -> list[str]:
-    if dim <= 3:
-        return list(_COORD_NAMES[:dim])
-    return [f"c{i}" for i in range(dim)]
 
 
 def parse_point_list(text: str) -> list[tuple[int, ...]]:
     """Parse "(1,0),(2,0),(0,1)" or a plain "1,2" for one dimension."""
     text = text.strip()
     if "(" not in text:
-        return [(int(tok),) for tok in text.split(",") if tok.strip()]
-    pts = []
-    for group in re.findall(r"\(([^()]*)\)", text):
-        pts.append(tuple(int(tok) for tok in group.split(",")))
+        pts = [(int(tok),) for tok in text.split(",") if tok.strip()]
+    else:
+        pts = [tuple(int(tok) for tok in group.split(","))
+               for group in re.findall(r"\(([^()]*)\)", text)]
     if not pts:
         raise ValueError(f"could not parse point list from {text!r}")
     return pts
@@ -95,48 +89,93 @@ def parse_symbolic_vectors(text: str, symbols: dict[str, float]):
     return vecs
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(","))
+
+
+def _fraction_list(text: str) -> tuple[Fraction, ...]:
+    return tuple(Fraction(t) for t in text.split(","))
+
+
+def _file_list(value, kind, key: str) -> tuple:
+    if not isinstance(value, list) or not value or not all(isinstance(v, kind) for v in value):
+        raise ValueError(f"config file: {key!r} must be a nonempty list")
+    return tuple(value)
+
+
+def _file_int(value, key: str) -> int:
+    if not isinstance(value, int):
+        raise ValueError(f"config file: {key!r} must be an integer")
+    return value
+
+
+def _with_config_file(args) -> argparse.Namespace:
+    """``args`` with the values of the JSON config file ``args.config``.
+
+    The file gives the values that the flags would: ``initials``, a
+    ``bound`` ({"box": [...]} or {"level": c}), ``size``, ``weights`` and
+    ``modulus``, each in place of its flag.  --box and --level override the
+    file's bound.  An optional ``dim`` must match the initials.
+    """
+    with open(args.config) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config file: expected a JSON object")
+    vectors = _file_list(raw.get("initials"), list, "initials")
+    init = [_file_list(v, int, "initials") for v in vectors]
+    if raw.get("dim", len(init[0])) != len(init[0]):
+        raise DimensionMismatch(f"config file: dim {raw['dim']} does not match the initials")
+    values = {"init": init}
+    bound = raw.get("bound", {})
+    if not isinstance(bound, dict):
+        raise ValueError("config file: 'bound' must be an object")
+    if args.box is None and args.level is None:
+        if "box" in bound:
+            values["box"] = _file_list(bound["box"], int, "bound.box")
+        elif "level" in bound:
+            values["level"] = _file_int(bound["level"], "bound.level")
+    if "size" in raw:
+        values["size"] = raw["size"]
+    if "weights" in raw:
+        values["weights"] = _file_list(raw["weights"], (int, str), "weights")
+    if "modulus" in raw:
+        values["cyclic"] = _file_int(raw["modulus"], "modulus")
+    return argparse.Namespace(**{**vars(args), **values})
+
+
 def _bound_from_args(args, dim: int) -> Bound:
-    if getattr(args, "box", None):
-        limits = tuple(int(t) for t in args.box.split(","))
-        if len(limits) == 1 and dim > 1:
-            limits = limits * dim
-        return Bound.box(limits)
-    if getattr(args, "level", None) is not None:
-        return Bound.level(int(args.level))
+    if args.box is not None:
+        return Bound.box(args.box * dim if len(args.box) == 1 else args.box)
+    if args.level is not None:
+        return Bound.level(args.level)
     raise ValueError("one of --box or --level is required")
 
 
 def _sizefn_from_args(args) -> SizeFunction:
-    kind = getattr(args, "size", "sum") or "sum"
-    if kind == "sum":
+    if args.size == "sum":
         return SizeFunction.coordinate_sum()
-    if kind == "euclidean":
+    if args.size == "euclidean":
         return SizeFunction.euclidean_norm_squared()
-    if kind == "weighted":
-        if not getattr(args, "weights", None):
+    if args.size == "weighted":
+        if args.weights is None:
             raise ValueError("--size weighted requires --weights")
-        ws = [Fraction(t) for t in args.weights.split(",")]
-        return SizeFunction.weighted_sum(ws)
-    raise ValueError(f"unknown size function {kind!r}")
+        return SizeFunction.weighted_sum(args.weights)
+    raise ValueError(f"unknown size function {args.size!r}")
 
 
-def _load_config_file(path: str):
-    with open(path) as fh:
-        raw = json.load(fh)
-    dim = raw.get("dim") or len(raw["initials"][0])
-    bound_spec = raw.get("bound", {})
-    bound = None
-    if "box" in bound_spec:
-        bound = Bound.box(bound_spec["box"])
-    elif "level" in bound_spec:
-        bound = Bound.level(bound_spec["level"])
-    size = raw.get("size", "sum")
-    modulus = raw.get("modulus")
-    return dim, [tuple(v) for v in raw["initials"]], bound, size, modulus
+def _ulam_set(args, initials, sizefn: SizeFunction | None = None) -> UlamSet:
+    """The set grown from ``initials`` within --box or --level."""
+    cfg = validate_config(initials, len(initials[0]))
+    return generate(cfg, _bound_from_args(args, cfg.dim), sizefn)
+
+
+def _json(doc: dict) -> str:
+    """A JSON output document: ``version`` first, indented, newline-ended."""
+    return json.dumps({"version": __version__, **doc}, indent=2) + "\n"
 
 
 def set_to_csv(uset: UlamSet) -> str:
-    names = _axis_names(uset.dim)
+    names = "xyz"[:uset.dim] if uset.dim <= 3 else [f"c{i}" for i in range(uset.dim)]
     lines = [",".join(names)]
     lines += [",".join(str(c) for c in p) for p in uset.points]
     return "\n".join(lines) + "\n"
@@ -148,8 +187,7 @@ def points_from_csv(text: str) -> list[tuple[int, ...]]:
 
 
 def set_to_json(uset: UlamSet) -> str:
-    doc = {
-        "version": __version__,
+    return _json({
         "config": {"dim": uset.dim, "initials": [list(p) for p in uset.config.initials]},
         "bound": (
             {"box": list(uset.bound.limits)}
@@ -159,8 +197,7 @@ def set_to_json(uset: UlamSet) -> str:
         "size": uset.sizefn.kind,
         "count": len(uset.points),
         "points": [list(p) for p in uset.points],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    })
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -171,25 +208,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-# ---------------------------------------------------------------------------
-# SVG rendering
+def scatter_svg(points, dim: int, radius: float | None = None,
+                projection: str = "xy") -> str:
+    """Planar SVG scatter of points (tuples of the given dimension).
 
-
-def export_svg(uset, path: str | None, radius: float | None = None,
-               width: int = 640, projection: str = "xy") -> str:
-    """Render a planar scatter of the set as standalone SVG.
-
-    Three-dimensional sets are projected either onto the xy-plane or onto
+    Three-dimensional points are projected either onto the xy-plane or onto
     the orthogonal complement of the all-ones direction.  Byte output is
     deterministic for fixed inputs.
     """
-    return scatter_svg(uset.points, uset.dim, path, radius=radius,
-                       width=width, projection=projection)
-
-
-def scatter_svg(points, dim: int, path: str | None, radius: float | None = None,
-                width: int = 640, projection: str = "xy") -> str:
-    """SVG scatter of raw points (tuples of the given dimension)."""
     if dim == 2:
         coords = [(float(x), float(y)) for x, y in points]
     elif dim == 3 and projection == "xy":
@@ -212,6 +238,7 @@ def scatter_svg(points, dim: int, path: str | None, radius: float | None = None,
         hi_x = hi_y = 1.0
     span_x = max(hi_x - lo_x, 1.0)
     span_y = max(hi_y - lo_y, 1.0)
+    width = 640
     margin = 40.0
     scale = (width - 2 * margin) / span_x
     height = int(2 * margin + span_y * scale)
@@ -243,11 +270,7 @@ def scatter_svg(points, dim: int, path: str | None, radius: float | None = None,
             f'<circle cx="{sx(cx):.2f}" cy="{sy(cy):.2f}" r="{r:.2f}" fill="black"/>'
         )
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -255,75 +278,58 @@ def scatter_svg(points, dim: int, path: str | None, radius: float | None = None,
 
 
 def _cmd_generate(args) -> int:
-    modulus = args.cyclic
-    file_bound = None
     if args.config:
-        dim, initials, file_bound, size, modulus = _load_config_file(args.config)
-        args.size = size
-    else:
-        if not args.init:
-            print("error: --init or --config is required", file=sys.stderr)
-            return 2
-        initials = parse_point_list(args.init)
-        dim = args.dim or len(initials[0])
+        args = _with_config_file(args)
+    elif args.init is None:
+        raise ValueError("--init or --config is required")
+    initials = args.init
 
-    if dim == 1 and args.terms is not None:
+    if len(initials[0]) == 1 and args.terms is not None:
+        if args.format == "svg":
+            raise ValueError("--format svg draws a set, not a --terms sequence")
         seq = ulam_sequence([p[0] for p in initials], args.terms)
         if args.format == "json":
-            doc = {
-                "version": __version__,
+            text = _json({
                 "initials": list(seq.initials),
                 "count": len(seq.terms),
                 "terms": list(seq.terms),
-            }
-            _emit(json.dumps(doc, indent=2) + "\n", args.out)
+            })
         else:
-            _emit("x\n" + "\n".join(str(t) for t in seq.terms) + "\n", args.out)
-        return 0
-
-    if modulus:
-        cset = generate_cyclic(initials, modulus, int(args.x_bound))
+            text = "x\n" + "\n".join(str(t) for t in seq.terms) + "\n"
+    elif args.cyclic is not None:
+        cset = generate_cyclic(initials, args.cyclic, args.x_bound)
         if args.format == "json":
-            doc = {
-                "version": __version__,
-                "modulus": modulus,
+            text = _json({
+                "modulus": cset.modulus,
                 "x_bound": cset.x_bound,
                 "initials": [list(p) for p in cset.initials],
                 "count": len(cset.points),
                 "points": [list(p) for p in cset.points],
-            }
-            _emit(json.dumps(doc, indent=2) + "\n", args.out)
+            })
+        elif args.format == "svg":
+            text = scatter_svg(cset.points, 2, args.radius)
         else:
-            rows = ["x,r"] + [f"{x},{r}" for x, r in cset.points]
-            _emit("\n".join(rows) + "\n", args.out)
-        return 0
-
-    cfg = validate_config(initials, dim)
-    if args.box or args.level is not None:
-        bound = _bound_from_args(args, dim)
-    elif file_bound is not None:
-        bound = file_bound
+            text = "\n".join(["x,r"] + [f"{x},{r}" for x, r in cset.points]) + "\n"
     else:
-        print("error: a bound (--box/--level or config file) is required",
-              file=sys.stderr)
-        return 2
-    uset = generate(cfg, bound, _sizefn_from_args(args))
-    _emit(set_to_json(uset) if args.format == "json" else set_to_csv(uset), args.out)
+        uset = _ulam_set(args, initials, _sizefn_from_args(args))
+        if args.format == "json":
+            text = set_to_json(uset)
+        elif args.format == "svg":
+            text = scatter_svg(uset.points, uset.dim, args.radius, args.projection)
+        else:
+            text = set_to_csv(uset)
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_columns(args) -> int:
-    initials = parse_point_list(args.init)
-    cfg = validate_config(initials, len(initials[0]))
-    bound = _bound_from_args(args, cfg.dim)
-    uset = generate(cfg, bound)
+    uset = _ulam_set(args, args.init)
     rep = columns_report(
         uset, axis=1, step=args.step,
         max_period=args.max_period, min_evidence=args.min_evidence,
     )
     if args.format == "json":
         doc = {
-            "version": __version__,
             "step": rep.step,
             "profiles": [
                 {
@@ -341,7 +347,7 @@ def _cmd_columns(args) -> int:
             "inconclusive": [list(t) for t in rep.inconclusive],
             "violations": list(rep.violations),
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(_json(doc), args.out)
     else:
         lines = [f"{'x':>5} {'res':>3} {'preperiod':>9} {'period':>6} "
                  f"{'empty':>5}  pattern"]
@@ -369,31 +375,27 @@ def _cmd_columns(args) -> int:
 def _cmd_signal(args) -> int:
     if args.csv_points < 1:
         raise ValueError("--csv-points must be at least 1")
-    if args.set_init:
+    if args.set_init is not None:
         # exploratory: scan x-coordinates of members along a fixed row
-        initials = parse_point_list(args.set_init)
-        cfg = validate_config(initials, len(initials[0]))
-        uset = generate(cfg, _bound_from_args(args, cfg.dim))
+        uset = _ulam_set(args, args.set_init)
         xs = sorted(p[0] for p in uset.points if p[1] == args.row and p[0] > 0)
         if len(xs) < 2:
             print("row has too few members to scan", file=sys.stderr)
             return 1
         seq = Sequence1D(tuple(xs[:2]), tuple(xs))
     else:
-        initials = [p[0] for p in parse_point_list(args.init)]
-        seq = ulam_sequence(initials, args.terms)
+        seq = ulam_sequence([p[0] for p in args.init], args.terms)
 
     if args.alpha is not None:
+        if abs(args.alpha) > sys.float_info.max:
+            raise ValueError("--alpha is outside the float range")
         total = cosine_sum(seq, args.alpha)
-        exceptions = sign_exception_set(seq, args.alpha)
-        doc = {
-            "version": __version__,
-            "alpha": float(Fraction(args.alpha)),
+        _emit(_json({
+            "alpha": float(args.alpha),
             "terms": len(seq.terms),
             "normalized_sum": total / len(seq.terms),
-            "sign_exceptions": exceptions,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+            "sign_exceptions": sign_exception_set(seq, args.alpha),
+        }), args.out)
         return 0
 
     scan = alpha_scan(seq, args.coarse_step)
@@ -404,37 +406,30 @@ def _cmd_signal(args) -> int:
             rows.append(f"{scan.coarse_alpha(j):.9f},{scan.sums[j]:.9f}")
         with open(args.csv_out, "w") as fh:
             fh.write("\n".join(rows) + "\n")
-    doc = {
-        "version": __version__,
+    _emit(_json({
         "terms": len(seq.terms),
         "coarse_step": scan.alpha_step,
         "best_alpha": scan.best_alpha,
         "best_value": scan.best_value,
         "sign_exceptions": sign_exception_set(seq, scan.best_alpha),
-    }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    }), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     oracle = get_oracle(args.oracle, args.m, args.n)
-    initials = parse_point_list(args.init) if args.init else oracle.initials
-    cfg = validate_config(initials, len(initials[0]))
-    bound = _bound_from_args(args, cfg.dim)
-    uset = generate(cfg, bound)
-    rep = compare_set_to_oracle(uset, oracle, bound)
+    uset = _ulam_set(args, oracle.initials if args.init is None else args.init)
+    rep = compare_set_to_oracle(uset, oracle, uset.bound)
     if rep.ok:
         print(f"verified: {oracle.oracle_id} on {len(uset)} points, "
               f"{rep.checked} cells checked")
         return 0
-    doc = {
-        "version": __version__,
+    sys.stdout.write(_json({
         "oracle": oracle.oracle_id,
         "missing": [list(p) for p in rep.missing[:200]],
         "extra": [list(p) for p in rep.extra[:200]],
         "checked": rep.checked,
-    }
-    print(json.dumps(doc, indent=2))
+    }))
     return 1
 
 
@@ -448,46 +443,26 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    symbols = parse_symbol_table(args.symbols)
-    vecs = parse_symbolic_vectors(args.init, symbols)
     if args.target == "line":
-        pts = parse_point_list(args.init)
-        images = embed_one_dimensional(pts)
+        images = embed_one_dimensional(parse_point_list(args.init))
         doc = {
-            "version": __version__,
             "images": [repr(f) for f in images],
             "values": [f.value() for f in images],
         }
     else:
-        out = embed_integer_lattice(vecs, symbols)
-        doc = {
-            "version": __version__,
-            "dim": out.dim,
-            "initials": [list(p) for p in out.initials],
-        }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        symbols = parse_symbol_table(args.symbols)
+        out = embed_integer_lattice(parse_symbolic_vectors(args.init, symbols), symbols)
+        doc = {"dim": out.dim, "initials": [list(p) for p in out.initials]}
+    _emit(_json(doc), args.out)
     return 0
 
 
 def _cmd_normalize(args) -> int:
-    initials = parse_point_list(args.init)
-    cfg = validate_config(initials, 2)
-    res = normalize_axes_2d(cfg)
-    doc = {
-        "version": __version__,
+    res = normalize_axes_2d(validate_config(args.init, 2))
+    _emit(_json({
         "initials": [list(p) for p in res.config.initials],
         "matrix": [[str(c) for c in row] for row in res.matrix],
-    }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return 0
-
-
-def _cmd_plot(args) -> int:
-    initials = parse_point_list(args.init)
-    cfg = validate_config(initials, len(initials[0]))
-    bound = _bound_from_args(args, cfg.dim)
-    uset = generate(cfg, bound)
-    export_svg(uset, args.out, radius=args.radius, projection=args.projection)
+    }), args.out)
     return 0
 
 
@@ -500,25 +475,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_bound(p):
-        p.add_argument("--box", help="comma-separated per-coordinate maxima")
+        p.add_argument("--box", type=_int_list, help="comma-separated per-coordinate maxima")
         p.add_argument("--level", type=int, help="maximum level (f-value)")
 
     g = sub.add_parser("generate", help="generate a set or sequence")
-    g.add_argument("--init", help="initial vectors, e.g. \"(1,0),(2,0),(0,1)\"")
+    g.add_argument("--init", type=parse_point_list,
+                   help="initial vectors, e.g. \"(1,0),(2,0),(0,1)\"")
     g.add_argument("--config", help="JSON config file")
-    g.add_argument("--dim", type=int)
     add_bound(g)
     g.add_argument("--terms", type=int, help="term count for dim 1")
     g.add_argument("--cyclic", type=int, help="residue modulus n")
     g.add_argument("--x-bound", type=int, default=100, dest="x_bound")
     g.add_argument("--size", choices=["sum", "euclidean", "weighted"], default="sum")
-    g.add_argument("--weights")
-    g.add_argument("--format", choices=["csv", "json"], default="csv")
+    g.add_argument("--weights", type=_fraction_list)
+    g.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
+    g.add_argument("--projection", choices=["xy", "complement"], default="xy",
+                   help="SVG view of a 3-D set")
+    g.add_argument("--radius", type=float, help="SVG point radius")
     g.add_argument("--out")
     g.set_defaults(func=_cmd_generate)
 
     c = sub.add_parser("columns", help="column periodicity report")
-    c.add_argument("--init", required=True)
+    c.add_argument("--init", type=parse_point_list, required=True)
     add_bound(c)
     c.add_argument("--step", type=int, default=1)
     c.add_argument("--max-period", type=int, default=64, dest="max_period")
@@ -528,13 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_columns)
 
     s = sub.add_parser("signal", help="cosine-sum frequency analysis")
-    s.add_argument("--init", default="1,2")
+    s.add_argument("--init", type=parse_point_list, default="1,2")
     s.add_argument("--terms", type=int, default=50000)
-    s.add_argument("--alpha", help="evaluate at one frequency")
+    s.add_argument("--alpha", type=Fraction, help="evaluate at one frequency")
     s.add_argument("--coarse-step", type=float, default=1e-5, dest="coarse_step")
     s.add_argument("--csv-out", dest="csv_out", help="write coarse scan CSV")
     s.add_argument("--csv-points", type=int, default=4000, dest="csv_points")
-    s.add_argument("--set-init", dest="set_init",
+    s.add_argument("--set-init", type=parse_point_list, dest="set_init",
                    help="planar config for the fixed-row exploratory mode")
     s.add_argument("--row", type=int, default=0)
     add_bound(s)
@@ -545,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("oracle")
     v.add_argument("--m", type=int)
     v.add_argument("--n", type=int)
-    v.add_argument("--init")
+    v.add_argument("--init", type=parse_point_list)
     add_bound(v)
     v.set_defaults(func=_cmd_verify)
 
@@ -563,17 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=_cmd_embed)
 
     n = sub.add_parser("normalize", help="axis normalization of a planar config")
-    n.add_argument("--init", required=True)
+    n.add_argument("--init", type=parse_point_list, required=True)
     n.add_argument("--out")
     n.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("plot", help="SVG scatter of a generated set")
-    p.add_argument("--init", required=True)
-    add_bound(p)
-    p.add_argument("--projection", choices=["xy", "complement"], default="xy")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plot)
 
     return ap
 
@@ -586,10 +556,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UlamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UlamError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

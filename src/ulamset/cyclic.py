@@ -53,7 +53,11 @@ def _validate_cyclic_initials(initials, modulus: int) -> tuple[CyclicPoint, ...]
     pts = []
     seen = set()
     for v in initials:
-        x, r = int(v[0]), int(v[1])
+        try:
+            x, r = v
+        except (TypeError, ValueError):
+            raise InvalidInitials(f"initial {v!r} is not an (x, residue) pair") from None
+        x, r = int(x), int(r)
         if x < 1:
             raise InvalidInitials(f"initial {v} must have x >= 1")
         if not 0 <= r < modulus:

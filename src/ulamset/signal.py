@@ -43,14 +43,6 @@ _REFINE_ROUNDS = 5   # each round shrinks the local grid step 10x
 _REFINE_POINTS = 41  # grid points per refinement round
 
 
-def _as_fraction(alpha) -> Fraction:
-    if isinstance(alpha, Fraction):
-        return alpha
-    if isinstance(alpha, str):
-        return Fraction(alpha)
-    return Fraction(alpha)  # float: exact binary value
-
-
 def _reduced_args(terms, alpha: Fraction) -> np.ndarray:
     """alpha * a_n reduced into [0, 2*pi), exactly, then rounded to float."""
     num, den = alpha.numerator, alpha.denominator
@@ -66,7 +58,7 @@ def cosine_sum(seq: Sequence1D, alpha) -> float:
     """Sum of cos(alpha * a_n) over the sequence, exact argument reduction."""
     if not seq.terms:
         return 0.0
-    a = _as_fraction(alpha)
+    a = Fraction(alpha)
     if a == 0:
         return float(len(seq.terms))
     return float(np.cos(_reduced_args(seq.terms, a)).sum())
@@ -74,7 +66,7 @@ def cosine_sum(seq: Sequence1D, alpha) -> float:
 
 def sign_exception_set(seq: Sequence1D, alpha) -> list[int]:
     """All terms a_n with cos(alpha * a_n) >= 0."""
-    a = _as_fraction(alpha)
+    a = Fraction(alpha)
     if a == 0:
         return list(seq.terms)
     keep = np.flatnonzero(np.cos(_reduced_args(seq.terms, a)) >= 0.0)

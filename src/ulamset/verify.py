@@ -199,7 +199,6 @@ _ALIASES = {
     "case1": "extra-vector-even-even",
     "case2": "extra-vector-truncated",
     "case3": "extra-vector-shifted",
-    "extra-vector": "extra-vector",
     "hyperplane-x2": "unit3d-hyperplane",
 }
 

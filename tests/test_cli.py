@@ -1,23 +1,43 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from ulamset import Bound, cli, core, generate, validate_config
 from ulamset.cli import (
-    export_svg,
     parse_point_list,
     parse_symbol_table,
     parse_symbolic_vectors,
     points_from_csv,
     run,
+    scatter_svg,
     set_to_csv,
 )
+from ulamset.cyclic import generate_cyclic
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _usage_error(capsys, argv) -> str:
+    """Run argv, check it exits 2 with an error and no output; return stderr."""
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+    return captured.err
 
 
 def test_parse_point_list():
     assert parse_point_list("(1,0),(2,0),(0,1)") == [(1, 0), (2, 0), (0, 1)]
     assert parse_point_list("1,2") == [(1,), (2,)]
     assert parse_point_list("(1,0,0),(0,1,0)") == [(1, 0, 0), (0, 1, 0)]
+
+
+@pytest.mark.parametrize("text", ["", ",", " , "])
+def test_parse_point_list_rejects_text_without_points(text):
+    with pytest.raises(ValueError, match="could not parse point list"):
+        parse_point_list(text)
 
 
 def test_parse_symbolic_vectors():
@@ -61,6 +81,52 @@ def test_config_file_input(tmp_path, capsys):
     }))
     assert run(["generate", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "x,y"
+
+
+def test_config_file_bound_yields_to_box_and_level(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"initials": [[1, 0], [0, 1]], "bound": {"box": [6, 6]}}))
+    assert run(["generate", "--config", str(cfg), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound"] == {"box": [6, 6]}
+    assert run(["generate", "--config", str(cfg), "--box", "4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound"] == {"box": [4, 4]}
+    assert run(["generate", "--config", str(cfg), "--level", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound"] == {"level": 3}
+
+
+def test_config_file_weights_match_the_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "initials": [[1, 0], [0, 1]],
+        "bound": {"level": 12},
+        "size": "weighted",
+        "weights": [1, "3/2"],
+    }))
+    assert run(["generate", "--config", str(cfg), "--format", "json"]) == 0
+    from_file = capsys.readouterr().out
+    assert run(["generate", "--init", "(1,0),(0,1)", "--level", "12",
+                "--size", "weighted", "--weights", "1,3/2", "--format", "json"]) == 0
+    assert from_file == capsys.readouterr().out
+    assert json.loads(from_file)["size"] == "weighted-sum"
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"bound": {"box": [5, 5]}},
+    {"initials": [], "bound": {"box": [5, 5]}},
+    {"initials": [[1, 0], [0, 1]], "bound": {"box": "5,5"}},
+    {"initials": [[1, 0], [0, 1]], "bound": {"level": "5"}},
+    {"initials": [[1, 0], [0, 1]], "bound": [5, 5]},
+    {"initials": [[1, "a"], [0, 1]], "bound": {"box": [5, 5]}},
+    {"initials": [[1, 0], [0, 1]], "bound": {"box": [5, 5]}, "weights": [[1]]},
+    {"initials": [[1, 0], [0, 1]], "bound": {"box": [5, 5]}, "weights": [0.5]},
+    {"initials": [[1, 3]], "modulus": "6"},
+    {"dim": 3, "initials": [[1, 0], [0, 1]], "bound": {"box": [5, 5]}},
+])
+def test_malformed_config_file_exits_2(tmp_path, capsys, doc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert _usage_error(capsys, ["generate", "--config", str(cfg)]).startswith("error: ")
 
 
 def test_verify_exit_codes(capsys):
@@ -196,7 +262,7 @@ def test_columns_cli_rejects_max_period_below_one(capsys, period):
 
 
 def test_generate_cli_names_zero_term_count(capsys):
-    assert run(["generate", "--dim", "1", "--init", "1,2", "--terms", "0"]) == 2
+    assert run(["generate", "--init", "1,2", "--terms", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "n_terms=0 is smaller than the 2 initial terms" in captured.err
@@ -212,14 +278,11 @@ def test_embed_and_normalize_cli(capsys):
     assert sorted(map(tuple, doc["initials"])) == [(0, 13), (9, 0)]
 
 
-def test_svg_deterministic(tmp_path):
+def test_svg_deterministic():
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((12, 12)))
-    a = export_svg(s, None)
-    b = export_svg(s, None)
+    a = scatter_svg(s.points, s.dim)
+    b = scatter_svg(s.points, s.dim)
     assert a == b
-    path = tmp_path / "plot.svg"
-    export_svg(s, str(path))
-    assert path.read_text() == a
     assert a.startswith("<svg") and a.rstrip().endswith("</svg>")
     assert a.count("<circle") == len(s)
 
@@ -229,20 +292,63 @@ def test_svg_empty_and_3d_projection(tmp_path):
 
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((5, 5)))
     empty = dataclasses.replace(s, points=(), members=frozenset())
-    text = export_svg(empty, None)
+    text = scatter_svg(empty.points, empty.dim)
     assert "<circle" not in text and "<line" in text
 
     s3 = generate(validate_config([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
                   Bound.level(12))
-    text = export_svg(s3, None, projection="complement")
+    text = scatter_svg(s3.points, s3.dim, projection="complement")
     assert text.count("<circle") == len(s3)
 
 
 def test_plot_cli(tmp_path):
     out = tmp_path / "s.svg"
-    assert run(["plot", "--init", "(1,0),(0,1)", "--box", "10,10",
-                "--out", str(out)]) == 0
+    assert run(["generate", "--init", "(1,0),(0,1)", "--box", "10,10",
+                "--format", "svg", "--out", str(out)]) == 0
     assert out.read_text().startswith("<svg")
+
+
+def test_svg_out_file_matches_stdout(tmp_path, capsys):
+    argv = ["generate", "--init", "(1,0,0),(0,1,0),(0,0,1)", "--level", "10",
+            "--format", "svg", "--projection", "complement", "--radius", "2"]
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "s.svg"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == text
+    s3 = generate(validate_config([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3), Bound.level(10))
+    assert text == scatter_svg(s3.points, 3, 2.0, "complement")
+
+
+def test_cyclic_svg_cli(capsys):
+    assert run(["generate", "--cyclic", "6", "--init", "(1,3),(3,4)",
+                "--x-bound", "20", "--format", "svg"]) == 0
+    cset = generate_cyclic([(1, 3), (3, 4)], 6, 20)
+    assert capsys.readouterr().out == scatter_svg(cset.points, 2)
+
+
+def test_svg_of_a_term_sequence_exits_2_before_generating(monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("the sequence was generated")
+
+    monkeypatch.setattr(cli, "ulam_sequence", fail)
+    err = _usage_error(capsys, ["generate", "--init", "1,2", "--terms", "10",
+                                "--format", "svg"])
+    assert "--terms" in err
+
+
+def test_readme_command_lines_parse():
+    lines, in_code = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_code = not in_code
+        elif in_code and line.startswith("ulamset "):
+            lines.append(line)
+    assert len(lines) >= 20
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_cyclic_cli(capsys):
@@ -251,3 +357,29 @@ def test_cyclic_cli(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "x,r"
     assert "4,1" in out
+
+
+def test_cyclic_cli_zero_modulus(capsys):
+    err = _usage_error(capsys, ["generate", "--cyclic", "0", "--init", "(1,0)"])
+    assert "modulus must be >= 1, got 0" in err
+
+
+def test_cyclic_cli_rejects_initials_that_are_not_pairs(capsys):
+    err = _usage_error(capsys, ["generate", "--cyclic", "3", "--init", "1,2"])
+    assert "not an (x, residue) pair" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["columns", "--init", "", "--box", "5,5"],
+    ["generate", "--init", ",", "--box", "5,5"],
+    ["signal", "--set-init", "", "--box", "5,5"],
+    ["verify", "theorem1", "--init", "", "--box", "5,5"],
+])
+def test_empty_point_list_exits_2(capsys, argv):
+    assert "--init" in _usage_error(capsys, argv)
+
+
+def test_signal_cli_rejects_alpha_outside_float_range(capsys):
+    err = _usage_error(capsys, ["signal", "--init", "1,2", "--terms", "100",
+                                "--alpha", "1e400"])
+    assert "--alpha is outside the float range" in err

@@ -87,6 +87,12 @@ def test_validation():
         generate_cyclic([(1, 0), (15, 0)], 2, 10)
 
 
+@pytest.mark.parametrize("bad", [(1,), (1, 2, 0), 1, "12x"])
+def test_initials_must_be_pairs(bad):
+    with pytest.raises(InvalidInitials, match="not an \\(x, residue\\) pair"):
+        generate_cyclic([(1, 0), bad], 3, 10)
+
+
 def test_single_initial_certified_finite():
     s = generate_cyclic([(1, 0)], 2, 10)
     assert s.points == ((1, 0),)
