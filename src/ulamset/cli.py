@@ -283,10 +283,17 @@ def _cmd_generate(args) -> int:
     elif args.init is None:
         raise ValueError("--init or --config is required")
     initials = args.init
+    dim = len(initials[0])
+    # refuse what the chosen kind of output would ignore, before any work
+    if args.terms is not None and dim > 1:
+        raise ValueError(f"--terms needs one-dimensional initials, not dimension {dim}")
+    if args.cyclic is not None and (args.box is not None or args.level is not None):
+        raise ValueError("--box and --level do not apply to --cyclic; it is bounded by --x-bound")
+    if args.format == "svg" and dim not in (2, 3):
+        what = "a --terms sequence" if args.terms is not None else f"dimension {dim}"
+        raise ValueError(f"--format svg draws 2-D and 3-D sets, not {what}")
 
-    if len(initials[0]) == 1 and args.terms is not None:
-        if args.format == "svg":
-            raise ValueError("--format svg draws a set, not a --terms sequence")
+    if args.terms is not None:
         seq = ulam_sequence([p[0] for p in initials], args.terms)
         if args.format == "json":
             text = _json({

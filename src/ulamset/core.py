@@ -40,9 +40,12 @@ from .errors import (
 
 Point = tuple[int, ...]
 
-# Largest dense grid, in cells.  The counts take 1 B per cell on a box and 2 B
-# on a level bound, and the box branch's member grid 1 B more, so the limit is
-# 300 MB; a larger request raises GridTooLarge before anything is allocated.
+# Largest dense grid, in allocated cells.  A box grid is padded (see
+# _generate_dense): a square 2-D box allocates about 2x its cells, a d-D cube
+# up to 2^(d-1)x; a level bound allocates exactly its (c+1)^d cells.  The
+# counts take 1 B per cell on a box and 2 B on a level bound, and the box
+# branch's member grid 1 B more, so the limit is 300 MB; a larger request
+# raises GridTooLarge before anything is allocated.
 _DENSE_CELL_LIMIT = 150_000_000
 
 # Count dtype of the dense engine per bound kind.  The counts saturate (see
@@ -59,16 +62,17 @@ _COUNT_DTYPE = {"box": np.uint8, "level": np.uint16}
 _CLAMP_EVERY = {kind: int(np.iinfo(dt).max) - 2 for kind, dt in _COUNT_DTYPE.items()}
 _CLAMP_CHUNK = 1 << 16
 
-# The dense box branch updates the counts for a new member w by a slice-add
-# over the box beyond w when that volume is below this many cells per member,
-# and by gathering the members inside the box otherwise.  Measured with uint8
-# counts over a (70,3000) run (2-vCPU Xeon): the slice-adds average 0.26 ns
-# per cell, call overhead included (0.06 ns on a whole grid, up to 0.5 ns on
-# small boxes), the gathers (d compares, a masked take, a scatter) about 15 ns
-# per member; 15 / 0.26 is about 60.  From 64 to 256 the column boxes time
-# within 3 %; at 128 and over, a 3-D post-filter box (50,50,50) is 12 % slower,
-# and with slice-adds only 27 % slower.
-_SLICE_PER_MEMBER = 64
+# The dense box branch updates the counts for a new member at flat index f by
+# one contiguous add of the member grid over [f, last] when those are fewer
+# than this many cells per earlier member, and by gathering the members
+# otherwise.  Measured with uint8 counts (2-vCPU Xeon, numpy 2.4, timeit): the
+# add costs about 1.8 us plus 0.06 ns per cell, the gather (an add, a compare,
+# a masked take, a scatter) about 6 us plus 6.6 ns per member once n is in the
+# thousands; 6.6 / 0.06 is about 110.  Median of four interleaved runs: from
+# 128 to 2048 the 2-D column boxes and (200,200) time within 7 %, 32 is 27 %
+# slower on (60,2000); on the 3-D (50,50,50) box 128 is fastest, 512 is 10 %
+# and adds alone 30 % slower.
+_SLICE_PER_MEMBER = 128
 
 
 @dataclass(frozen=True)
@@ -247,7 +251,8 @@ def generate(config: InitialConfig, bound: Bound, sizefn: SizeFunction | None = 
     The set does not depend on the admissible f, and a box is downward
     closed, so any f is served by the coordinate-sum engine over a box that
     holds the bound, followed by a filter on f.  Raises
-    :class:`GridTooLarge` before allocating when that box has more than
+    :class:`GridTooLarge` before allocating when the grid for that box
+    (padded, see :func:`_generate_dense`) has more than
     ``_DENSE_CELL_LIMIT`` cells.
     """
     sizefn = sizefn or SizeFunction.coordinate_sum()
@@ -303,6 +308,26 @@ def _clamp(counts, twos) -> None:
 
 
 def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
+    """Coordinate-sum engine: representation counts on one flat numpy grid.
+
+    Axis 0 keeps its n_0 = l_0 + 1 rows; every inner axis k gets the radix
+    R_k = min(2 n_k - 1, lmax + 1), where lmax is the top level (the sum of
+    the box limits, or the cap).  A level bound has n_k = lmax + 1, so
+    R_k = n_k there.  On a box, a new member u at flat index f adds the
+    member grid to the counts by one contiguous add,
+    ``counts[f:last + 1] += member[:last + 1 - f]`` (``last`` is the far
+    corner), or adds 1 at ``f + g`` for each earlier member's flat index
+    g <= last - f.  Both are exact.  The padding cells of ``member`` are 0.
+    A member w lands on u + w whenever u + w is in the box; otherwise it
+    lands either on a padding cell, which nothing reads, or, after a carry
+    out of an axis with R_k = lmax + 1, on a cell of level at most
+    L + L_w - (R_k - 1) <= L, where L and L_w are the levels of u and w (a
+    carry out of an axis with R_k = 2 n_k - 1 needs a carry in, since
+    u_k + w_k <= 2 n_k - 2).  Level L's batch is selected before its
+    updates, so no count of level <= L is read again.  On a level bound u
+    adds 1 at ``f + g`` for the members of level <= cap - L only, whose sums
+    with u all lie in the bound.
+    """
     d = config.dim
     if bound.kind == "box":
         limits = bound.limits
@@ -313,13 +338,15 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
         limits = (cap,) * d
         lmax = cap
     dims = tuple(l + 1 for l in limits)
-    cells = prod(dims)
+    radix = dims[:1] + tuple(min(2 * n - 1, lmax + 1) for n in dims[1:])
+    cells = prod(radix)
     if cells > _DENSE_CELL_LIMIT:
         raise GridTooLarge(
-            f"the {'x'.join(map(str, dims))} grid has {cells} cells, over the "
-            f"limit of {_DENSE_CELL_LIMIT}"
+            f"the {'x'.join(map(str, dims))} box takes a {'x'.join(map(str, radix))} "
+            f"grid of {cells} cells, over the limit of {_DENSE_CELL_LIMIT}"
         )
-    strides = np.array([prod(dims[i + 1:]) for i in range(d)], dtype=np.int64)
+    stride_list = [prod(radix[i + 1:]) for i in range(d)]
+    last = sum(map(operator.mul, limits, stride_list))
 
     # Level enumeration: along the longest axis j, every cell with coordinate
     # sum L is a prefix over the other axes with sum s in [L - limits[j], L],
@@ -331,48 +358,41 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
     for i in range(d):
         if i != j:
             psum = (psum[:, None] + np.arange(dims[i])).ravel()
-            poff = (poff[:, None] + np.arange(dims[i]) * strides[i]).ravel()
+            poff = (poff[:, None] + np.arange(dims[i]) * stride_list[i]).ravel()
     order = np.argsort(psum)
     psum = psum[order]
-    pbase = poff[order] - psum * strides[j]  # flat index at level L: + L * strides[j]
+    pbase = poff[order] - psum * stride_list[j]  # flat index at level L: + L * stride
     starts = np.searchsorted(psum, np.arange(lmax + 2)).tolist()
-    sj = int(strides[j])
+    sj = stride_list[j]
 
     def cells_at(L):
         return pbase[starts[max(L - limits[j], 0)]:starts[L + 1]] + L * sj
 
     # Saturating counts: only the states 0, 1 and >= 2 matter.  Each
-    # admission adds at most 1 to any cell (its targets u + w are distinct),
+    # admission adds at most 1 to any cell (its targets f + g are distinct),
     # and after a clamp every value is <= 2, so no cell can pass the dtype's
     # maximum within _CLAMP_EVERY admissions of the last clamp.  A clamp maps
     # every value >= 2 to 2, so the test counts == 1 never changes.
     dtype = _COUNT_DTYPE[bound.kind]
     clamp_every = _CLAMP_EVERY[bound.kind]
     counts = np.zeros(cells, dtype=dtype)
-    counts_nd = counts.reshape(dims)
     twos = np.full(min(cells, _CLAMP_CHUNK), 2, dtype=dtype)
     if cap is None:
-        # the member grid has the counts' dtype, so the slice-add never casts
+        # the member grid has the counts' dtype, so the add never casts
         member = np.zeros(cells, dtype=dtype)
-        member_nd = member.reshape(dims)
 
-    # member records in admission order, one column each: the d coordinates
-    # and the flat index.  Rows are contiguous, so the box mask is d 1-D
-    # compares.  The levels (nondecreasing) are a list that shares one int
-    # object per level, so the output's levels take no memory per point.
-    records = np.empty((d + 1, 1024), dtype=np.int64)
+    # flat indices of the members in admission order.  The levels
+    # (nondecreasing) are a list that shares one int object per level, so the
+    # output's levels take no memory per point.
+    mflats = np.empty(1024, dtype=np.int64)
     out_levels: list[int] = []
     n = 0
     since_clamp = 0
 
     init_by_level: dict[int, list[int]] = {}
     for v in config.initials:
-        fl = int(sum(c * s for c, s in zip(v, strides)))
+        fl = sum(map(operator.mul, v, stride_list))
         init_by_level.setdefault(sum(v), []).append(fl)
-
-    stride_list = strides.tolist()
-    ends = [l + 1 for l in limits]
-    open_ends = (None,) * d
 
     for L in range(lmax + 1):
         flats_l = cells_at(L)
@@ -382,7 +402,7 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
             counts[init_by_level[L]] = 1
         # counts == 1 needs no "not a member" test: level L's batch,
         # initials included, is admitted only after this selection.  Flat
-        # order is lex order (C strides), so the points come out sorted.
+        # order is lex order (mixed radix), so the points come out sorted.
         batch = np.sort(flats_l[counts[flats_l] == 1])
         m = batch.size
         if not m:
@@ -390,20 +410,12 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
 
         # record the whole level first; each update below reads only the
         # first n records, so it still sees only earlier members
-        if n + m > records.shape[1]:
-            grown = np.empty((d + 1, 2 * (n + m)), dtype=np.int64)
-            grown[:, :n] = records[:, :n]
-            records = grown
-        mcoords, mflats = records[:d], records[d]
-        rest = batch
-        for i, s in enumerate(stride_list):
-            mcoords[i, n:n + m], rest = np.divmod(rest, s)
+        if n + m > mflats.size:
+            mflats = np.concatenate([mflats[:n], np.empty(n + m, dtype=np.int64)])
         mflats[n:n + m] = batch
         out_levels += [L] * m
 
-        if cap is None:
-            level_coords = zip(*mcoords[:, n:n + m].tolist())
-        else:
+        if cap is not None:
             # members the level's points pair with: level <= cap - L
             pe_level = bisect_right(out_levels, cap - L)
         for fl in batch.tolist():
@@ -412,20 +424,12 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
                 since_clamp = 0
             since_clamp += 1
             if cap is None:
-                # two equivalent updates; pick the cheaper one per point:
-                # add the member grid beyond w (cost: remaining box volume)
-                # or gather the in-box members (cost: a few passes over n)
-                w = next(level_coords)
-                ext = list(map(operator.sub, ends, w))
-                if prod(ext) < _SLICE_PER_MEMBER * n:
-                    counts_nd[tuple(map(slice, w, open_ends))] += member_nd[tuple(map(slice, ext))]
+                # two equivalent updates; pick the cheaper one per point
+                if last - fl < _SLICE_PER_MEMBER * n:
+                    counts[fl:last + 1] += member[:last + 1 - fl]
                 else:
-                    mask = mcoords[0, :n] < ext[0]
-                    for i in range(1, d):
-                        mask &= mcoords[i, :n] < ext[i]
-                    idx = mflats[:n][mask] + fl
-                    if idx.size:
-                        counts[idx] += 1  # targets u+w distinct for fixed w
+                    idx = mflats[:n] + fl
+                    counts[idx[idx <= last]] += 1  # targets distinct for fixed f
                 member[fl] = 1
             else:
                 idx = mflats[:min(pe_level, n)] + fl
@@ -434,7 +438,12 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
             n += 1
 
     # admission order is (level, lex) order, so no sort is needed
-    pts = tuple(zip(*records[:d, :n].tolist()))
+    coords = []
+    rest = mflats[:n]
+    for s in stride_list:
+        c, rest = np.divmod(rest, s)
+        coords.append(c.tolist())
+    pts = tuple(zip(*coords))
     return UlamSet(
         config, SizeFunction.coordinate_sum(), bound, pts, tuple(out_levels), frozenset(pts)
     )

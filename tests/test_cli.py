@@ -338,6 +338,27 @@ def test_svg_of_a_term_sequence_exits_2_before_generating(monkeypatch, capsys):
     assert "--terms" in err
 
 
+@pytest.mark.parametrize("init,dim", [("1,2", 1), ("(1,0,0,0),(0,0,0,1)", 4)])
+def test_svg_of_an_unplottable_dimension_exits_2_before_generating(
+        monkeypatch, capsys, init, dim):
+    def fail(*args):
+        raise AssertionError("the set was generated")
+
+    monkeypatch.setattr(cli, "generate", fail)
+    err = _usage_error(capsys, ["generate", "--init", init, "--box", "6",
+                                "--format", "svg"])
+    assert f"dimension {dim}" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--init", "(1,0),(0,1)", "--box", "3,4", "--terms", "5"], "--terms"),
+    (["--cyclic", "6", "--init", "(1,3),(3,4)", "--box", "5,5"], "--box"),
+    (["--cyclic", "6", "--init", "(1,3),(3,4)", "--level", "9"], "--level"),
+])
+def test_generate_rejects_flags_it_does_not_use(capsys, argv, flag):
+    assert flag in _usage_error(capsys, ["generate"] + argv)
+
+
 def test_readme_command_lines_parse():
     lines, in_code = [], False
     for line in README.read_text().splitlines():

@@ -278,8 +278,8 @@ def test_level_bound_engines_agree_3d():
 
 
 def test_asymmetric_box_mask_correctness():
-    # tall thin and wide flat boxes exercise the per-dimension mask in the
-    # dense engine's flat-index updates
+    # tall thin and wide flat boxes exercise the padding of the dense
+    # engine's flat grid on either axis
     cfg = validate_config([(1, 0), (2, 0), (0, 1)], 2)
     for box in [(5, 60), (60, 5), (3, 80)]:
         a = generate(cfg, Bound.box(box))
@@ -347,6 +347,30 @@ def test_dense_engine_exact_with_frequent_clamps(dim, data):
             core, "_SLICE_PER_MEMBER",
             data.draw(st.sampled_from([0, core._SLICE_PER_MEMBER, 10**9]), label="c"),
         )
+        assert _generate_dense(cfg, bound).points == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_padded_layout_exact_on_elongated_boxes(dim, data):
+    """One long axis among short ones, in any position, with the contiguous
+    add or the gather forced on every member: an inner axis longer than the
+    others gets the radix lmax + 1, so its carries land on cells of levels
+    already selected, and the result still matches the reference."""
+    raw = data.draw(_points_strategy(dim, max_coord=2), label="initials")
+    cfg = validate_config(raw, dim)
+    long_axis = data.draw(st.integers(0, dim - 1), label="long axis")
+    k = data.draw(st.integers(3, {2: 30, 3: 12, 4: 7}[dim]), label="k")
+    limits = [
+        k if i == long_axis
+        else data.draw(st.integers(max(p[i] for p in raw), 2), label=f"l{i}")
+        for i in range(dim)
+    ]
+    bound = Bound.box(limits)
+    want = generate_reference(cfg, bound).points
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_SLICE_PER_MEMBER",
+                   data.draw(st.sampled_from([0, 10**9]), label="c"))
         assert _generate_dense(cfg, bound).points == want
 
 
@@ -455,10 +479,30 @@ def test_grid_over_the_cell_limit_raises_before_allocating(monkeypatch, bound, s
 
 
 def test_grid_at_the_cell_limit_is_generated(monkeypatch):
+    # the 4 x 5 box takes a 4 x 8 padded grid: radix min(2 * 5 - 1, 3 + 4 + 1)
     cfg = validate_config([(1, 0), (0, 1)], 2)
-    monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", 20)
+    monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", 32)
     want = generate_reference(cfg, Bound.box((3, 4))).points
     assert generate(cfg, Bound.box((3, 4))).points == want
+    monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", 31)
+    with pytest.raises(GridTooLarge):
+        generate(cfg, Bound.box((3, 4)))
+
+
+@pytest.mark.parametrize("dim,cap", [(2, 9), (3, 6), (4, 4)])
+def test_level_bound_allocates_exactly_its_cells(monkeypatch, dim, cap):
+    """A level bound's grid has no padding: (cap + 1)^d count cells."""
+    sizes = []
+    zeros = np.zeros
+
+    def recording(shape, *args, **kwargs):
+        sizes.append(int(np.prod(shape)))
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(core.np, "zeros", recording)
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    _generate_dense(validate_config(units, dim), Bound.level(cap))
+    assert max(sizes) == (cap + 1) ** dim
 
 
 @settings(max_examples=30, deadline=None)
