@@ -152,7 +152,7 @@ def _bound_from_args(args, dim: int) -> Bound:
 
 
 def _sizefn_from_args(args) -> SizeFunction:
-    if args.size == "sum":
+    if args.size in (None, "sum"):
         return SizeFunction.coordinate_sum()
     if args.size == "euclidean":
         return SizeFunction.euclidean_norm_squared()
@@ -176,9 +176,8 @@ def _json(doc: dict) -> str:
 
 def set_to_csv(uset: UlamSet) -> str:
     names = "xyz"[:uset.dim] if uset.dim <= 3 else [f"c{i}" for i in range(uset.dim)]
-    lines = [",".join(names)]
-    lines += [",".join(str(c) for c in p) for p in uset.points]
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%d"] * uset.dim) + "\n"
+    return ",".join(names) + "\n" + (row * len(uset)) % tuple(uset.coords.ravel().tolist())
 
 
 def points_from_csv(text: str) -> list[tuple[int, ...]]:
@@ -287,8 +286,15 @@ def _cmd_generate(args) -> int:
     # refuse what the chosen kind of output would ignore, before any work
     if args.terms is not None and dim > 1:
         raise ValueError(f"--terms needs one-dimensional initials, not dimension {dim}")
-    if args.cyclic is not None and (args.box is not None or args.level is not None):
-        raise ValueError("--box and --level do not apply to --cyclic; it is bounded by --x-bound")
+    # a sequence or a cyclic set has no lattice bound and no size function
+    kind = "--terms" if args.terms is not None else "--cyclic" if args.cyclic is not None else None
+    lattice_only = (("--box", args.box), ("--level", args.level),
+                    ("--size", args.size), ("--weights", args.weights))
+    ignored = [flag for flag, value in lattice_only if kind and value is not None]
+    if ignored:
+        bounded = "its term count" if kind == "--terms" else "--x-bound"
+        raise ValueError(f"{', '.join(ignored)} apply to lattice sets, not to {kind} "
+                         f"(bounded by {bounded})")
     if args.format == "svg" and dim not in (2, 3):
         what = "a --terms sequence" if args.terms is not None else f"dimension {dim}"
         raise ValueError(f"--format svg draws 2-D and 3-D sets, not {what}")
@@ -493,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--terms", type=int, help="term count for dim 1")
     g.add_argument("--cyclic", type=int, help="residue modulus n")
     g.add_argument("--x-bound", type=int, default=100, dest="x_bound")
-    g.add_argument("--size", choices=["sum", "euclidean", "weighted"], default="sum")
+    g.add_argument("--size", choices=["sum", "euclidean", "weighted"],
+                   help="size function of a lattice set (default sum)")
     g.add_argument("--weights", type=_fraction_list)
     g.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
     g.add_argument("--projection", choices=["xy", "complement"], default="xy",

@@ -148,7 +148,7 @@ def column_word(
 def _member_grid(uset: UlamSet, shape) -> np.ndarray:
     """uint8 grid over [0, shape): ASCII "1" at the members, "0" elsewhere."""
     grid = np.full(shape, ord("0"), dtype=np.uint8)
-    pts = np.array(uset.points, dtype=np.int64).reshape(-1, 2)
+    pts = uset.coords
     pts = pts[(pts < np.array(shape)).all(axis=1)]
     grid[pts[:, 0], pts[:, 1]] = ord("1")
     return grid
@@ -199,6 +199,31 @@ class ColumnsReport:
         return out
 
 
+def _grid_periods(words: np.ndarray, max_period: int, needed_periods: int):
+    """:func:`detect_eventual_period` on every row of a 2-D word array.
+
+    Returns the (preperiod, period) arrays, period 0 where a row is
+    inconclusive.  Each candidate period p takes one compare of the whole
+    array with itself shifted by p; a row's minimal preperiod for p is the
+    position after its last break.
+    """
+    rows, n = words.shape
+    best_t = np.full(rows, n + 1)
+    best_p = np.zeros(rows, dtype=np.int64)
+    every = np.arange(rows)
+    for p in range(1, max_period + 1):
+        needed = needed_periods * p
+        if n < needed:
+            break  # needed grows with p
+        breaks = words[:, :-p] != words[:, p:]
+        last = n - p - 1 - np.argmax(breaks[:, ::-1], axis=1)
+        t = np.where(breaks[every, last], last + 1, 0)
+        better = (t <= n - needed) & (t < best_t)  # ascending p: first hit is minimal
+        best_t[better] = t[better]
+        best_p[better] = p
+    return best_t, best_p
+
+
 def _odd_part(n: int) -> int:
     while n % 2 == 0:
         n //= 2
@@ -214,9 +239,11 @@ def columns_report(
 ) -> ColumnsReport:
     """Detect eventual periods for every column of a box-bounded planar set.
 
-    Column words are built per residue class modulo the step.  Two checks
-    run over the conclusive profiles, and every failure is reported rather
-    than dropped: the odd part of the detected minimal period (in swept
+    Column words are built per residue class modulo the step, and the
+    periods of all columns of one residue class are detected together on
+    the member grid, by the rule of :func:`detect_eventual_period` with its
+    edge guard.  Two checks run over the conclusive profiles, and every
+    failure is reported rather than dropped: the odd part of the detected minimal period (in swept
     units) must divide the step, and each period must equal or double the
     period of some earlier column (the empty column over index 0 anchors
     the lineage with period 1).
@@ -227,6 +254,8 @@ def columns_report(
         raise ValueError("need step >= 1")
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
+    if min_evidence < 3:
+        raise ValueError("min_evidence must be at least 3")
     other = 1 - axis
     hi_sweep = uset.bound.limits[axis]
     hi_index = uset.bound.limits[other]
@@ -236,18 +265,21 @@ def columns_report(
     violations: list[str] = []
     seen_periods: list[tuple[int, int]] = []  # (index, period) lineage
     grid = _member_grid(uset, [l + 1 for l in uset.bound.limits])
+    if axis == 0:
+        grid = grid.T  # one row per column index
+    classes = []  # per residue: the words of every column, preperiods, periods
+    for residue in range(min(step, hi_sweep + 1)):
+        words = np.ascontiguousarray(grid[:, residue::step])
+        classes.append((words, *_grid_periods(words, max_period, min_evidence + 1)))
 
     for index in range(hi_index + 1):
-        for residue in range(step):
-            if residue > hi_sweep:
-                continue
-            word = _grid_word(grid, axis, index, residue, hi_sweep, step)
-            fit = detect_eventual_period(
-                word, max_period, min_evidence, edge_guard=True
-            )
-            if fit is None:
+        for residue, (words, starts, periods) in enumerate(classes):
+            t, period = int(starts[index]), int(periods[index])
+            if not period:
                 inconclusive.append((index, residue))
                 continue
+            pattern = words[index, t:t + period].tobytes().decode("ascii")
+            fit = PeriodFit(t, period, pattern, (words.shape[1] - t) // period)
             source = None
             if fit.period > 1:
                 candidates = [

@@ -23,6 +23,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import prod
 
@@ -193,7 +194,8 @@ class UlamSet:
     """A generated set truncated to a bound.
 
     ``points`` are sorted by (f-level, lexicographic); ``levels`` holds the
-    f-value of each point.  Membership is O(1) via ``in``.
+    f-value of each point.  Membership is O(1) via ``in``.  ``coords`` is
+    ``points`` as a read-only (n, d) int64 array.
     """
 
     config: InitialConfig
@@ -218,6 +220,21 @@ class UlamSet:
     @property
     def dim(self) -> int:
         return self.config.dim
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """``points`` as a read-only (n, d) int64 array, rows in the same order.
+
+        The dense engine stores the array it decodes the points from; any
+        other set, ``dataclasses.replace`` copies included, derives it from
+        its own ``points`` on first use, so it never goes stale.
+        """
+        return _frozen(np.array(self.points, dtype=np.int64).reshape(-1, self.dim))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _assemble(config, sizefn, bound, points, levels) -> UlamSet:
@@ -438,15 +455,16 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
             n += 1
 
     # admission order is (level, lex) order, so no sort is needed
-    coords = []
+    coords = np.empty((n, d), dtype=np.int64)
     rest = mflats[:n]
-    for s in stride_list:
-        c, rest = np.divmod(rest, s)
-        coords.append(c.tolist())
-    pts = tuple(zip(*coords))
-    return UlamSet(
+    for i, s in enumerate(stride_list):
+        coords[:, i], rest = np.divmod(rest, s)
+    pts = tuple(zip(*coords.T.tolist()))
+    uset = UlamSet(
         config, SizeFunction.coordinate_sum(), bound, pts, tuple(out_levels), frozenset(pts)
     )
+    uset.__dict__["coords"] = _frozen(coords)  # the value the cached property would compute
+    return uset
 
 
 # ---------------------------------------------------------------------------

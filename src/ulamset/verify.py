@@ -2,10 +2,10 @@
 
 Each oracle captures a proven or empirically frozen characterization of the
 set generated by one family of initial configurations.  Oracles expose
-exact membership plus a scope predicate (some characterizations only cover
-part of the lattice, such as a single hyperplane), and
-:func:`compare_set_to_oracle` diffs a generated set against an oracle over
-an explicit region, reporting every disagreement.
+exact membership plus an optional slab (some characterizations only cover
+one coordinate hyperplane), and :func:`compare_set_to_oracle` diffs a
+generated set against an oracle over an explicit region, reporting every
+disagreement.
 
 The extra-vector family {(1,0), (0,1), (m,n)} splits into three classified
 shapes (plus a degenerate case where (m,n) already belongs to the
@@ -23,90 +23,83 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .core import Bound, UlamSet
 from .errors import BadParameters, RegionExceedsBound, UnknownOracle
 
 
-def two_generator_member(x: int, y: int) -> bool:
+# Every membership predicate below uses only ==, %, //, <=, & and | on its
+# coordinates (x < y is written x + 1 <= y), so one function serves both a
+# point of Python ints and numpy coordinate grids that broadcast together.
+
+
+def two_generator_member(x, y):
     """Membership for nonparallel {v1, v2} in coefficient coordinates.
 
     The set consists of v1 + n*v2 and n*v1 + v2 for all n >= 0, plus
     m*v1 + n*v2 with m, n >= 3 both odd.
     """
-    if (x, y) == (0, 0):
-        return False
-    return x == 1 or y == 1 or (x >= 3 and y >= 3 and x % 2 == 1 and y % 2 == 1)
+    return (x == 1) | (y == 1) | (
+        (3 <= x) & (3 <= y) & (x % 2 == 1) & (y % 2 == 1)
+    )
 
 
-def _axes_2_3_member(x: int, y: int) -> bool:
+def _axes_2_3_member(x, y):
     """Closed form for {(2,0), (0,1), (3,1)}: the initial points plus
     (n,1), (2,n), (3,n) for n >= 2."""
-    if (x, y) in ((2, 0), (0, 1)):
-        return True
-    if y == 1 and x >= 2:
-        return True
-    return x in (2, 3) and y >= 2
+    return (
+        ((x == 2) & (y == 0)) | ((x == 0) & (y == 1))
+        | ((y == 1) & (2 <= x)) | (((x == 2) | (x == 3)) & (2 <= y))
+    )
 
 
-def _axes_2_3_extra_member(x: int, y: int) -> bool:
+def _axes_2_3_extra_member(x, y):
     """Closed form for {(1,0), (0,1), (2,3)}: both unit rows, the extra
     initial, and the even-odd block (2n+4, 2m+3)."""
-    if (x, y) == (0, 0):
-        return False
-    if x == 1 or y == 1:
-        return True
-    if (x, y) == (2, 3):
-        return True
-    return x >= 4 and x % 2 == 0 and y >= 3 and y % 2 == 1
+    return (
+        (x == 1) | (y == 1) | ((x == 2) & (y == 3))
+        | ((4 <= x) & (x % 2 == 0) & (3 <= y) & (y % 2 == 1))
+    )
 
 
-def _case1_member(m: int, n: int, x: int, y: int) -> bool:
-    if (x, y) == (0, 0):
-        return False
-    if x == 1 or y == 1:
-        return True
-    if (x, y) == (m, n):
-        return True
-    if x % 2 == 0 or y % 2 == 0:
-        return False
-    if 3 <= x <= m - 1:          # transient band along the y-axis
-        return True
-    if 3 <= y <= n - 1:          # transient band along the x-axis
-        return True
+def _case1_member(m: int, n: int, x, y):
     jx = (x - 1) // (2 * m)
-    if jx >= 1 and x <= 2 * m * jx + m - 1 and y >= 2 * n * jx + 1:
-        return True
     jy = (y - 1) // (2 * n)
-    return jy >= 1 and y <= 2 * n * jy + n - 1 and x >= 2 * m * jy + 1
+    odd = (
+        ((3 <= x) & (x <= m - 1))           # transient band along the y-axis
+        | ((3 <= y) & (y <= n - 1))         # transient band along the x-axis
+        | ((1 <= jx) & (x <= 2 * m * jx + m - 1) & (2 * n * jx + 1 <= y))
+        | ((1 <= jy) & (y <= 2 * n * jy + n - 1) & (2 * m * jy + 1 <= x))
+    )
+    return (
+        (x == 1) | (y == 1) | ((x == m) & (y == n))
+        | ((x % 2 == 1) & (y % 2 == 1) & odd)
+    )
 
 
-def _case2_member(m: int, n: int, x: int, y: int) -> bool:
-    if (x, y) == (0, 0):
-        return False
-    if x == m:
-        return y == 1 or y == n
-    if x == m + 1:
-        return y == 1 or (y % 2 == 1 and 3 <= y < n)
-    return two_generator_member(x, y)
+def _case2_member(m: int, n: int, x, y):
+    return (
+        ((x == m) & ((y == 1) | (y == n)))
+        | ((x == m + 1) & ((y == 1) | ((y % 2 == 1) & (3 <= y) & (y + 1 <= n))))
+        | (((x + 1 <= m) | (m + 2 <= x)) & two_generator_member(x, y))
+    )
 
 
-def _case3_member(m: int, x: int, y: int) -> bool:
-    if (x, y) == (0, 0):
-        return False
-    if x < m:
-        return two_generator_member(x, y)
-    if x == m:
-        return y in (1, 3)
-    if x == m + 1:
-        return y == 1
-    return y == 1 or (x % 2 == 0 and y % 2 == 1 and y >= 3)
+def _case3_member(m: int, x, y):
+    return (
+        ((x + 1 <= m) & two_generator_member(x, y))
+        | ((x == m) & ((y == 1) | (y == 3)))
+        | ((m + 1 <= x) & (y == 1))
+        | ((m + 2 <= x) & (x % 2 == 0) & (y % 2 == 1) & (3 <= y))
+    )
 
 
-def _unit3d_plane_member(p) -> bool:
-    x, y, z = p
-    if (y, z) in ((0, 1), (1, 0)):
-        return True
-    return y >= 3 and z >= 3 and y % 2 == 1 and z % 2 == 1
+def _unit3d_plane_member(x, y, z):
+    return (
+        ((y == 0) & (z == 1)) | ((y == 1) & (z == 0))
+        | ((3 <= y) & (3 <= z) & (y % 2 == 1) & (z % 2 == 1))
+    )
 
 
 @dataclass(frozen=True)
@@ -115,14 +108,11 @@ class Oracle:
 
     oracle_id: str
     dim: int
-    member: object          # callable point -> bool
-    scope: object = None    # callable point -> bool; None means everywhere
+    member: object          # callable (x, y[, z]) -> bool, on ints or grids
+    slab: tuple | None = None  # (axis, value): covers only x_axis = value
     degenerate: bool = False
     params: tuple = ()
     initials: tuple = ()    # the configuration the oracle characterizes
-
-    def in_scope(self, p) -> bool:
-        return self.scope is None or self.scope(p)
 
 
 def extra_vector_oracle(m: int, n: int) -> Oracle:
@@ -138,7 +128,7 @@ def extra_vector_oracle(m: int, n: int) -> Oracle:
     initials = ((1, 0), (0, 1), (m, n))
     if two_generator_member(m, n):
         return Oracle(
-            "two-generators", 2, lambda p: two_generator_member(*p),
+            "two-generators", 2, two_generator_member,
             degenerate=True, params=(m, n), initials=initials,
         )
     if m % 2 == 1:
@@ -146,7 +136,7 @@ def extra_vector_oracle(m: int, n: int) -> Oracle:
         inner = extra_vector_oracle(n, m)
         return Oracle(
             inner.oracle_id + "-transposed", 2,
-            lambda p: inner.member((p[1], p[0])),
+            lambda x, y: inner.member(y, x),
             degenerate=inner.degenerate, params=(m, n), initials=initials,
         )
     if n % 2 == 0:
@@ -154,7 +144,7 @@ def extra_vector_oracle(m: int, n: int) -> Oracle:
             raise BadParameters(f"even-even shape needs m, n >= 4, got ({m},{n})")
         return Oracle(
             "extra-vector-even-even", 2,
-            lambda p: _case1_member(m, n, p[0], p[1]), params=(m, n),
+            lambda x, y: _case1_member(m, n, x, y), params=(m, n),
             initials=initials,
         )
     if n == 3:
@@ -162,34 +152,33 @@ def extra_vector_oracle(m: int, n: int) -> Oracle:
             raise BadParameters(f"shifted-lattice shape needs m >= 4, got ({m},{n})")
         return Oracle(
             "extra-vector-shifted", 2,
-            lambda p: _case3_member(m, p[0], p[1]), params=(m, n),
+            lambda x, y: _case3_member(m, x, y), params=(m, n),
             initials=initials,
         )
     if m < 4:
         raise BadParameters(f"truncated-column shape needs m >= 4, got ({m},{n})")
     return Oracle(
         "extra-vector-truncated", 2,
-        lambda p: _case2_member(m, n, p[0], p[1]), params=(m, n),
+        lambda x, y: _case2_member(m, n, x, y), params=(m, n),
         initials=initials,
     )
 
 
 _FIXED_ORACLES = {
     "two-generators": lambda: Oracle(
-        "two-generators", 2, lambda p: two_generator_member(*p),
-        initials=((1, 0), (0, 1)),
+        "two-generators", 2, two_generator_member, initials=((1, 0), (0, 1)),
     ),
     "config-2_0-0_1-3_1": lambda: Oracle(
-        "config-2_0-0_1-3_1", 2, lambda p: _axes_2_3_member(*p),
+        "config-2_0-0_1-3_1", 2, _axes_2_3_member,
         initials=((2, 0), (0, 1), (3, 1)),
     ),
     "config-1_0-0_1-2_3": lambda: Oracle(
-        "config-1_0-0_1-2_3", 2, lambda p: _axes_2_3_extra_member(*p),
+        "config-1_0-0_1-2_3", 2, _axes_2_3_extra_member,
         initials=((1, 0), (0, 1), (2, 3)),
     ),
     "unit3d-hyperplane": lambda: Oracle(
         "unit3d-hyperplane", 3, _unit3d_plane_member,
-        scope=lambda p: p[0] == 2, initials=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        slab=(0, 2), initials=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
     ),
 }
 
@@ -237,7 +226,7 @@ def oracle_membership(oracle_id: str, p, m: int | None = None, n: int | None = N
         raise BadParameters(f"point {p} has wrong arity for {oracle.oracle_id}")
     if any(c < 0 for c in p):
         raise BadParameters(f"point {p} has negative coordinates")
-    return bool(oracle.member(p))
+    return bool(oracle.member(*p))
 
 
 @dataclass(frozen=True)
@@ -256,17 +245,40 @@ class MismatchReport:
         return not self.missing and not self.extra
 
 
-def _region_points(region: Bound, dim: int):
+# Size function kinds that are convex on R_{>=0}^d (the prime product is
+# the exponential of a linear form).
+_CONVEX_KINDS = {"coordinate-sum", "weighted-sum", "euclidean-norm-squared", "prime-product"}
+
+
+def _check_region_in_bound(uset: UlamSet, region: Bound) -> None:
+    """Raise unless every lattice point of ``region`` lies in the set's bound.
+
+    A box region is checked at its far corner, a level region (coordinate
+    sum <= c) at its axis corners c*e_i.  That is exact: a box bound is
+    coordinatewise; an admissible f grows along every nonzero step, so it
+    peaks on a box at the far corner; and a convex f peaks on the simplex
+    {sum <= c} at a vertex.  A level region in the level bound of a size
+    function not known to be convex is checked point by point.
+    """
+    dim = uset.dim
     if region.kind == "box":
         if len(region.limits) != dim:
             raise RegionExceedsBound("region dimension mismatch")
-        ranges = [range(l + 1) for l in region.limits]
-        yield from product(*ranges)
+        corners = [region.limits]
+    elif uset.bound.kind == "level" and uset.sizefn.kind not in _CONVEX_KINDS:
+        cap = int(region.cap)
+        corners = (p for p in product(range(cap + 1), repeat=dim) if sum(p) <= cap)
     else:
         cap = int(region.cap)
-        yield from (
-            p for p in product(range(cap + 1), repeat=dim) if sum(p) <= cap
-        )
+        corners = [tuple(cap if i == j else 0 for i in range(dim)) for j in range(dim)]
+    for p in corners:
+        if not uset.bound.contains(p, uset.sizefn.value(p)):
+            raise RegionExceedsBound(f"region point {p} is outside the generated bound")
+
+
+def _points(mask: np.ndarray, lo: np.ndarray) -> tuple:
+    """The cells set in ``mask`` as points, in lexicographic order."""
+    return tuple(map(tuple, (np.argwhere(mask) + lo).tolist()))
 
 
 def compare_set_to_oracle(uset: UlamSet, oracle, region: Bound,
@@ -274,36 +286,55 @@ def compare_set_to_oracle(uset: UlamSet, oracle, region: Bound,
     """Diff every in-scope lattice point of ``region`` against the oracle.
 
     The region must lie inside the set's generation bound, otherwise absent
-    points would be truncation artifacts rather than disagreements.
+    points would be truncation artifacts rather than disagreements.  The
+    oracle is evaluated once on open coordinate grids over the region's
+    bounding box (over the slab alone for a slab oracle) and compared with a
+    boolean member grid filled from ``uset.coords``; the origin is skipped.
     """
     if isinstance(oracle, str):
         oracle = get_oracle(oracle, m, n)
     dim = uset.dim
-    missing = []
-    extra = []
-    checked = 0
-    skipped = 0
-    bound = uset.bound
-    fval = uset.sizefn.value
-    for p in _region_points(region, dim):
-        if not bound.contains(p, fval(p)):
-            raise RegionExceedsBound(
-                f"region point {p} is outside the generated bound"
-            )
-        if all(c == 0 for c in p):
-            continue
-        if not oracle.in_scope(p):
-            skipped += 1
-            continue
-        checked += 1
-        want = bool(oracle.member(p))
-        got = p in uset.members
-        if want and not got:
-            missing.append(p)
-        elif got and not want:
-            extra.append(p)
+    if oracle.dim != dim:
+        raise BadParameters(f"oracle {oracle.oracle_id} is {oracle.dim}-D, the set {dim}-D")
+    _check_region_in_bound(uset, region)
+    if region.kind == "box":
+        hi = list(region.limits)
+        cells = math.prod(c + 1 for c in hi)
+    else:
+        cap = int(region.cap)
+        hi = [cap] * dim
+        cells = math.comb(cap + dim, dim)
+    lo = [0] * dim
+    if oracle.slab is not None:
+        axis, value = oracle.slab
+        lo[axis] = value
+        hi[axis] = min(hi[axis], value)  # an empty slab when value is past it
+    grids = np.ogrid[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
+    shape = tuple(max(b + 1 - a, 0) for a, b in zip(lo, hi))
+    lo = np.array(lo, dtype=np.int64)
+
+    got = np.zeros(shape, dtype=bool)
+    coords = uset.coords
+    coords = coords[((coords >= lo) & (coords <= np.array(hi))).all(axis=1)] - lo
+    got[tuple(coords.T)] = True
+    want = np.broadcast_to(oracle.member(*grids), shape)
+    missing = want > got
+    extra = got > want
+    if region.kind == "box":
+        checked = math.prod(shape)
+    else:
+        # coordinate sum <= cap, built up without an integer array per cell
+        inside = grids[-1] <= cap - sum(grids[:-1])
+        missing &= inside
+        extra &= inside
+        checked = int(np.count_nonzero(inside))
+    if checked and not lo.any():
+        origin = (0,) * dim
+        missing[origin] = extra[origin] = False
+        checked -= 1
     return MismatchReport(
-        oracle.oracle_id, region, tuple(missing), tuple(extra), checked, skipped
+        oracle.oracle_id, region, _points(missing, lo), _points(extra, lo),
+        checked, cells - 1 - checked,
     )
 
 

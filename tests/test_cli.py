@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -354,9 +356,25 @@ def test_svg_of_an_unplottable_dimension_exits_2_before_generating(
     (["--init", "(1,0),(0,1)", "--box", "3,4", "--terms", "5"], "--terms"),
     (["--cyclic", "6", "--init", "(1,3),(3,4)", "--box", "5,5"], "--box"),
     (["--cyclic", "6", "--init", "(1,3),(3,4)", "--level", "9"], "--level"),
+    (["--init", "1,2", "--terms", "8", "--box", "3"], "--box"),
+    (["--init", "1,2", "--terms", "8", "--level", "3"], "--level"),
+    (["--cyclic", "6", "--init", "(1,3),(3,4)", "--x-bound", "8", "--size", "euclidean"],
+     "--size"),
+    (["--init", "1,2", "--terms", "8", "--size", "weighted", "--weights", "2"], "--weights"),
 ])
-def test_generate_rejects_flags_it_does_not_use(capsys, argv, flag):
+def test_generate_rejects_flags_it_does_not_use(monkeypatch, capsys, argv, flag):
+    def fail(*args):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in ("generate", "ulam_sequence", "generate_cyclic"):
+        monkeypatch.setattr(cli, name, fail)
     assert flag in _usage_error(capsys, ["generate"] + argv)
+
+
+def test_generate_size_flag_still_serves_lattice_sets(capsys):
+    assert run(["generate", "--init", "(1,0),(0,1)", "--level", "12", "--size", "sum",
+                "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == "coordinate-sum"
 
 
 def test_readme_command_lines_parse():
@@ -404,3 +422,40 @@ def test_signal_cli_rejects_alpha_outside_float_range(capsys):
     err = _usage_error(capsys, ["signal", "--init", "1,2", "--terms", "100",
                                 "--alpha", "1e400"])
     assert "--alpha is outside the float range" in err
+
+
+# sha256 of the standard output of README command lines, recorded before the
+# set consumers read the coordinate array
+README_OUTPUT_SHA256 = [
+    (["columns", "--init", "(2,0),(3,0),(0,1)", "--box", "70,3000"], 2978,
+     "b61e1a17340368d499010ffe244daeb5f14bd06ec7f7eb8b5aa5fec8208e4edf"),
+    (["columns", "--init", "(2,0),(3,0),(0,1)", "--box", "70,3000", "--format", "json"], 13599,
+     "3da0f2a23db421addfd4654b559af4117962b54798c24161f7ef3517449a0fbe"),
+    (["verify", "theorem1", "--box", "25,25"], 58,
+     "d3992e3fa32cd5f604935b73c6ce591080c48561527800e8ee1c2028c76822f1"),
+    (["verify", "extra-vector", "--m", "6", "--n", "4", "--box", "40,40"], 67,
+     "526738b6c417608e7432546dc22f5583119dfcd27bea573e60b74e1cf756f59c"),
+    (["verify", "unit3d-hyperplane", "--level", "30"], 61,
+     "0fec011c6ccdc4df0e9682f8049aef5bb4bfeae49e9060082cc571d84c31bc2b"),
+    (["generate", "--init", "(1,0),(2,0),(0,1)", "--box", "60,2000", "--format", "csv"], 99394,
+     "a8122cd9ac71795af8aef0ee11a5fce509c049166524d4d86b6a544887328a45"),
+]
+
+
+@pytest.mark.parametrize("argv,size,digest", README_OUTPUT_SHA256)
+def test_readme_outputs_match_frozen_checksums(capsys, argv, size, digest):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_csv_of_a_replaced_set_uses_its_points():
+    s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((4, 4)))
+    pts = ((3, 1), (0, 2))
+    text = set_to_csv(dataclasses.replace(s, points=pts, members=frozenset(pts)))
+    assert text == "x,y\n3,1\n0,2\n"
+    empty = dataclasses.replace(s, points=(), members=frozenset())
+    assert set_to_csv(empty) == "x,y\n"
+    s4 = generate(validate_config([(1, 0, 0, 0), (0, 0, 0, 1)], 4), Bound.box((2, 0, 0, 2)))
+    assert set_to_csv(s4).splitlines()[:2] == ["c0,c1,c2,c3", "0,0,0,1"]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,8 +8,13 @@ from hypothesis import strategies as st
 
 from ulamset import Bound, generate, validate_config
 from ulamset.columns import (
+    DEFAULT_MAX_PERIOD,
+    DEFAULT_MIN_EVIDENCE,
+    ColumnProfile,
+    ColumnsReport,
     _grid_word,
     _member_grid,
+    _odd_part,
     classify_period_doubling,
     column_word,
     columns_report,
@@ -335,3 +341,147 @@ def test_columns_report_rejects_step_below_one(step):
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((5, 20)))
     with pytest.raises(ValueError):
         columns_report(s, step=step)
+
+
+# ---------------------------------------------------------------------------
+# whole-grid period detection against the per-column function
+
+
+def ref_columns_report(uset, axis=1, step=1, max_period=DEFAULT_MAX_PERIOD,
+                       min_evidence=DEFAULT_MIN_EVIDENCE):
+    """columns_report as one detect_eventual_period call per column word."""
+    other = 1 - axis
+    hi_sweep = uset.bound.limits[axis]
+    hi_index = uset.bound.limits[other]
+
+    profiles = []
+    inconclusive = []
+    violations = []
+    seen_periods = []  # (index, period) lineage
+    grid = _member_grid(uset, [l + 1 for l in uset.bound.limits])
+
+    for index in range(hi_index + 1):
+        for residue in range(step):
+            if residue > hi_sweep:
+                continue
+            word = _grid_word(grid, axis, index, residue, hi_sweep, step)
+            fit = detect_eventual_period(
+                word, max_period, min_evidence, edge_guard=True
+            )
+            if fit is None:
+                inconclusive.append((index, residue))
+                continue
+            source = None
+            if fit.period > 1:
+                candidates = [
+                    i for i, p in seen_periods if p in (fit.period, fit.period // 2)
+                ]
+                if candidates:
+                    source = max(candidates)  # nearest earlier column
+                else:
+                    violations.append(
+                        f"column {index} (residue {residue}): period "
+                        f"{fit.period} neither matches nor doubles an earlier one"
+                    )
+            actual = fit.period * step
+            if _odd_part(actual) > step or step % _odd_part(actual) != 0:
+                violations.append(
+                    f"column {index} (residue {residue}): period {fit.period} "
+                    f"(in units of {step}) is not a power of two"
+                )
+            profiles.append(
+                ColumnProfile(
+                    axis=axis,
+                    index=index,
+                    residue=residue,
+                    step=step,
+                    preperiod=fit.preperiod,
+                    period=fit.period,
+                    pattern=fit.pattern,
+                    empty=fit.empty,
+                    evidence=fit.evidence,
+                    doubling_source=source,
+                )
+            )
+            seen_periods.append((index, fit.period))
+
+    return ColumnsReport(
+        axis=axis,
+        step=step,
+        profiles=tuple(profiles),
+        inconclusive=tuple(inconclusive),
+        violations=tuple(violations),
+    )
+
+
+_BASE = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((1, 1)))
+
+
+def _grid_set(rows):
+    """A planar set whose member grid is ``rows`` (row x, column y)."""
+    pts = tuple((x, y) for x, row in enumerate(rows) for y, bit in enumerate(row) if bit)
+    return dataclasses.replace(
+        _BASE, bound=Bound.box((len(rows) - 1, len(rows[0]) - 1)),
+        points=pts, levels=tuple(map(sum, pts)), members=frozenset(pts),
+    )
+
+
+def _random_rows(rng, n_rows, length):
+    """Rows of random bits, or a random prefix followed by a repeated pattern."""
+    rows = []
+    for _ in range(n_rows):
+        if rng.random() < 0.3:
+            rows.append([rng.randint(0, 1) for _ in range(length)])
+        else:
+            pattern = [rng.randint(0, 1) for _ in range(rng.randint(1, 9))]
+            prefix = [rng.randint(0, 1) for _ in range(rng.randint(0, 12))]
+            rows.append((prefix + pattern * length)[:length])
+    return rows
+
+
+_report_args = dict(
+    step=st.integers(1, 4),
+    max_period=st.integers(1, 70),
+    min_evidence=st.integers(3, 5),
+    axis=st.sampled_from([0, 1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_rows=st.integers(1, 14), length=st.integers(1, 90),
+       rng=st.randoms(use_true_random=False), **_report_args)
+def test_whole_grid_periods_match_per_column_detection(
+        n_rows, length, rng, step, max_period, min_evidence, axis):
+    """Random 0/1 grids, from one-symbol words (every residue but 0 past the
+    sweep) to words shorter than max_period."""
+    uset = _grid_set(_random_rows(rng, n_rows, length))
+    args = dict(axis=axis, step=step, max_period=max_period, min_evidence=min_evidence)
+    assert columns_report(uset, **args) == ref_columns_report(uset, **args)
+
+
+@pytest.fixture(scope="module")
+def column_sets():
+    return [
+        generate(validate_config(init, 2), Bound.box(box))
+        for init, box in (
+            ([(1, 0), (2, 0), (0, 1)], (20, 300)),
+            ([(2, 0), (3, 0), (0, 1)], (30, 400)),
+            ([(1, 0), (0, 1)], (13, 100)),
+            ([(1, 0), (2, 0), (0, 2)], (3, 2)),
+        )
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, 3), **_report_args)
+def test_whole_grid_periods_match_on_generated_sets(
+        column_sets, which, step, max_period, min_evidence, axis):
+    uset = column_sets[which]
+    args = dict(axis=axis, step=step, max_period=max_period, min_evidence=min_evidence)
+    assert columns_report(uset, **args) == ref_columns_report(uset, **args)
+
+
+def test_columns_report_requires_min_evidence():
+    s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((5, 20)))
+    with pytest.raises(ValueError, match="min_evidence"):
+        columns_report(s, min_evidence=2)

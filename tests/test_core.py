@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -532,3 +533,32 @@ def test_level_bound_is_the_box_filtered_to_the_level(dim, data):
     box = generate(cfg, Bound.box((c,) * dim))
     kept = [(p, f) for p, f in zip(box.points, box.levels) if f <= c]
     assert list(zip(level.points, level.levels)) == kept
+
+
+# ---------------------------------------------------------------------------
+# the coordinate array
+
+
+@pytest.mark.parametrize("raw,bound,sizefn", [
+    ([(1, 0), (2, 0), (0, 1)], Bound.box((8, 40)), None),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], Bound.level(9), None),
+    ([(1, 0), (0, 1)], Bound.level(30), SizeFunction.euclidean_norm_squared()),
+])
+def test_coords_hold_the_points_in_order(raw, bound, sizefn):
+    s = generate(validate_config(raw, len(raw[0])), bound, sizefn)
+    assert s.coords.dtype == np.int64 and s.coords.shape == (len(s), s.dim)
+    assert [tuple(r) for r in s.coords.tolist()] == list(s.points)
+    assert not s.coords.flags.writeable
+    with pytest.raises(ValueError):
+        s.coords[0, 0] = 5
+
+
+def test_coords_of_a_replaced_set_follow_its_points():
+    s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((6, 6)))
+    assert len(s.coords) == len(s)  # cached before the copy is made
+    pts = s.points[:3] + ((5, 5),)
+    t = dataclasses.replace(s, points=pts, members=frozenset(pts))
+    assert t.coords.tolist() == [list(p) for p in pts]
+    empty = dataclasses.replace(s, points=(), members=frozenset())
+    assert empty.coords.shape == (0, 2)
+    assert generate_reference(s.config, s.bound).coords.tolist() == s.coords.tolist()
