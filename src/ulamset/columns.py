@@ -94,21 +94,42 @@ def detect_eventual_period(
         raise ValueError("min_evidence must be at least 3")
     if max_period < 1:
         raise ValueError("max_period must be at least 1")
-    n = len(word)
-    a = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
-    best: tuple[int, int] | None = None
+    words = np.frombuffer(word.encode("ascii"), dtype=np.uint8)[None]
+    starts, periods = _grid_periods(words, max_period, min_evidence + edge_guard)
+    return _fit(words[0], int(starts[0]), int(periods[0]))
+
+
+def _grid_periods(words: np.ndarray, max_period: int, needed_periods: int):
+    """The rule of :func:`detect_eventual_period` on every row of a word array.
+
+    ``needed_periods`` is the evidence a fit needs, in full periods.
+    Returns the (preperiod, period) arrays, period 0 where a row is
+    inconclusive.  Each candidate period p takes one compare of the whole
+    array with itself shifted by p; a row's minimal preperiod for p is the
+    position after its last break.
+    """
+    rows, n = words.shape
+    best_t = np.full(rows, n + 1)
+    best_p = np.zeros(rows, dtype=np.int64)
+    every = np.arange(rows)
     for p in range(1, max_period + 1):
-        needed = (min_evidence + (1 if edge_guard else 0)) * p
+        needed = needed_periods * p
         if n < needed:
             break  # needed grows with p
-        breaks = np.flatnonzero(a[:-p] != a[p:])
-        t = int(breaks[-1]) + 1 if breaks.size else 0
-        if n - t >= needed and (best is None or t < best[0]):
-            best = (t, p)  # ascending p: first hit at a given t is minimal
-    if best is None:
+        breaks = words[:, :-p] != words[:, p:]
+        last = n - p - 1 - np.argmax(breaks[:, ::-1], axis=1)
+        t = np.where(breaks[every, last], last + 1, 0)
+        better = (t <= n - needed) & (t < best_t)  # ascending p: first hit is minimal
+        best_t[better] = t[better]
+        best_p[better] = p
+    return best_t, best_p
+
+
+def _fit(word: np.ndarray, t: int, p: int) -> PeriodFit | None:
+    """The fit (preperiod t, period p) of an ASCII word array; None if p is 0."""
+    if not p:
         return None
-    t, p = best
-    return PeriodFit(t, p, word[t:t + p], (n - t) // p)
+    return PeriodFit(t, p, word[t:t + p].tobytes().decode("ascii"), (len(word) - t) // p)
 
 
 def column_word(
@@ -199,31 +220,6 @@ class ColumnsReport:
         return out
 
 
-def _grid_periods(words: np.ndarray, max_period: int, needed_periods: int):
-    """:func:`detect_eventual_period` on every row of a 2-D word array.
-
-    Returns the (preperiod, period) arrays, period 0 where a row is
-    inconclusive.  Each candidate period p takes one compare of the whole
-    array with itself shifted by p; a row's minimal preperiod for p is the
-    position after its last break.
-    """
-    rows, n = words.shape
-    best_t = np.full(rows, n + 1)
-    best_p = np.zeros(rows, dtype=np.int64)
-    every = np.arange(rows)
-    for p in range(1, max_period + 1):
-        needed = needed_periods * p
-        if n < needed:
-            break  # needed grows with p
-        breaks = words[:, :-p] != words[:, p:]
-        last = n - p - 1 - np.argmax(breaks[:, ::-1], axis=1)
-        t = np.where(breaks[every, last], last + 1, 0)
-        better = (t <= n - needed) & (t < best_t)  # ascending p: first hit is minimal
-        best_t[better] = t[better]
-        best_p[better] = p
-    return best_t, best_p
-
-
 def _odd_part(n: int) -> int:
     while n % 2 == 0:
         n //= 2
@@ -274,12 +270,10 @@ def columns_report(
 
     for index in range(hi_index + 1):
         for residue, (words, starts, periods) in enumerate(classes):
-            t, period = int(starts[index]), int(periods[index])
-            if not period:
+            fit = _fit(words[index], int(starts[index]), int(periods[index]))
+            if fit is None:
                 inconclusive.append((index, residue))
                 continue
-            pattern = words[index, t:t + period].tobytes().decode("ascii")
-            fit = PeriodFit(t, period, pattern, (words.shape[1] - t) // period)
             source = None
             if fit.period > 1:
                 candidates = [

@@ -225,16 +225,12 @@ class UlamSet:
     def coords(self) -> np.ndarray:
         """``points`` as a read-only (n, d) int64 array, rows in the same order.
 
-        The dense engine stores the array it decodes the points from; any
-        other set, ``dataclasses.replace`` copies included, derives it from
-        its own ``points`` on first use, so it never goes stale.
+        Derived from ``points`` on first use, so a ``dataclasses.replace``
+        copy with new points never reads a stale array.
         """
-        return _frozen(np.array(self.points, dtype=np.int64).reshape(-1, self.dim))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+        a = np.array(self.points, dtype=np.int64).reshape(-1, self.dim)
+        a.flags.writeable = False
+        return a
 
 
 def _assemble(config, sizefn, bound, points, levels) -> UlamSet:
@@ -455,16 +451,15 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
             n += 1
 
     # admission order is (level, lex) order, so no sort is needed
-    coords = np.empty((n, d), dtype=np.int64)
+    coords = []
     rest = mflats[:n]
-    for i, s in enumerate(stride_list):
-        coords[:, i], rest = np.divmod(rest, s)
-    pts = tuple(zip(*coords.T.tolist()))
-    uset = UlamSet(
+    for s in stride_list:
+        c, rest = np.divmod(rest, s)
+        coords.append(c.tolist())
+    pts = tuple(zip(*coords))
+    return UlamSet(
         config, SizeFunction.coordinate_sum(), bound, pts, tuple(out_levels), frozenset(pts)
     )
-    uset.__dict__["coords"] = _frozen(coords)  # the value the cached property would compute
-    return uset
 
 
 # ---------------------------------------------------------------------------

@@ -245,33 +245,25 @@ class MismatchReport:
         return not self.missing and not self.extra
 
 
-# Size function kinds that are convex on R_{>=0}^d (the prime product is
-# the exponential of a linear form).
-_CONVEX_KINDS = {"coordinate-sum", "weighted-sum", "euclidean-norm-squared", "prime-product"}
-
-
 def _check_region_in_bound(uset: UlamSet, region: Bound) -> None:
     """Raise unless every lattice point of ``region`` lies in the set's bound.
 
-    A box region is checked at its far corner, a level region (coordinate
-    sum <= c) at its axis corners c*e_i.  That is exact: a box bound is
-    coordinatewise; an admissible f grows along every nonzero step, so it
-    peaks on a box at the far corner; and a convex f peaks on the simplex
-    {sum <= c} at a vertex.  A level region in the level bound of a size
-    function not known to be convex is checked point by point.
+    Only the region's maximal points are checked: the far corner of a box
+    region, and the points of coordinate sum exactly c of a level region
+    (coordinate sum <= c).  That is exact for every size function: each
+    other point lies coordinatewise below one of them, a box bound is
+    coordinatewise, and an admissible f grows with each unit step.
     """
     dim = uset.dim
     if region.kind == "box":
         if len(region.limits) != dim:
             raise RegionExceedsBound("region dimension mismatch")
-        corners = [region.limits]
-    elif uset.bound.kind == "level" and uset.sizefn.kind not in _CONVEX_KINDS:
-        cap = int(region.cap)
-        corners = (p for p in product(range(cap + 1), repeat=dim) if sum(p) <= cap)
+        tops = [region.limits]
     else:
         cap = int(region.cap)
-        corners = [tuple(cap if i == j else 0 for i in range(dim)) for j in range(dim)]
-    for p in corners:
+        heads = (p for p in product(range(cap + 1), repeat=dim - 1) if sum(p) <= cap)
+        tops = ((*p, cap - sum(p)) for p in heads)
+    for p in tops:
         if not uset.bound.contains(p, uset.sizefn.value(p)):
             raise RegionExceedsBound(f"region point {p} is outside the generated bound")
 

@@ -12,6 +12,7 @@ from ulamset.columns import (
     DEFAULT_MIN_EVIDENCE,
     ColumnProfile,
     ColumnsReport,
+    PeriodFit,
     _grid_word,
     _member_grid,
     _odd_part,
@@ -344,12 +345,12 @@ def test_columns_report_rejects_step_below_one(step):
 
 
 # ---------------------------------------------------------------------------
-# whole-grid period detection against the per-column function
+# whole-grid period detection against a per-column scan
 
 
 def ref_columns_report(uset, axis=1, step=1, max_period=DEFAULT_MAX_PERIOD,
                        min_evidence=DEFAULT_MIN_EVIDENCE):
-    """columns_report as one detect_eventual_period call per column word."""
+    """columns_report as one per-character scan per column word."""
     other = 1 - axis
     hi_sweep = uset.bound.limits[axis]
     hi_index = uset.bound.limits[other]
@@ -365,12 +366,11 @@ def ref_columns_report(uset, axis=1, step=1, max_period=DEFAULT_MAX_PERIOD,
             if residue > hi_sweep:
                 continue
             word = _grid_word(grid, axis, index, residue, hi_sweep, step)
-            fit = detect_eventual_period(
-                word, max_period, min_evidence, edge_guard=True
-            )
-            if fit is None:
+            scan = _string_scan(word, max_period, min_evidence, edge_guard=True)
+            if scan is None:
                 inconclusive.append((index, residue))
                 continue
+            fit = PeriodFit(*scan)
             source = None
             if fit.period > 1:
                 candidates = [

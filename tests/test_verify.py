@@ -569,7 +569,7 @@ def test_region_inside_bound_is_exact(size, kind):
 
 class CornerHeavySize:
     """Admissible but not convex: the coordinate sum, plus 100 once both
-    coordinates are positive."""
+    coordinates are positive, so the axis corners are not the largest."""
 
     kind = "corner-heavy"
 
@@ -580,7 +580,7 @@ class CornerHeavySize:
         assert dim == 2
 
 
-def test_region_inside_a_non_convex_level_bound_is_checked_point_by_point():
+def test_region_inside_a_non_convex_level_bound_is_exact():
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.level(102), CornerHeavySize())
     # (1, 1) has size 102 and (1, 2) size 103; every axis corner is far below
     assert isinstance(_assert_same_diff(s, "two-generators", Bound.level(2)), MismatchReport)
