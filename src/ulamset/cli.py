@@ -3,20 +3,23 @@
 Subcommands: generate, columns, signal, verify, equiv, embed, normalize.
 ``generate`` writes a lattice set, a one-dimensional sequence or a cyclic
 set as CSV or JSON, and a lattice or cyclic set also as an SVG scatter.
-Exit status is 0 on success or a verified check, 1 on a mismatch or
-violation, 2 on usage errors.  Output is deterministic for fixed inputs:
-CSV rows are sorted by (level, lexicographic) and SVG bytes depend only on
-the rendered set.
+A flag the run does not read exits 2 before any work.  Exit status is 0
+on success or a verified check, 1 on a mismatch or violation, 2 on usage
+errors.  Output is deterministic for fixed inputs: CSV rows are sorted by
+(level, lexicographic) and SVG bytes depend only on the rendered set.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .algebra import (
@@ -26,12 +29,12 @@ from .algebra import (
     structurally_equivalent,
     sym_vector,
 )
-from .columns import columns_report
+from .columns import DEFAULT_MAX_PERIOD, DEFAULT_MIN_EVIDENCE, columns_report
 from .core import Bound, SizeFunction, UlamSet, generate, validate_config
 from .cyclic import generate_cyclic
 from .errors import DimensionMismatch, UlamError
 from .onedim import Sequence1D, ulam_sequence
-from .signal import alpha_scan, cosine_sum, sign_exception_set
+from .signal import _COARSE_STEP, alpha_scan, cosine_sum, sign_exception_set
 from .verify import compare_set_to_oracle, get_oracle
 
 
@@ -115,20 +118,24 @@ def _with_config_file(args) -> argparse.Namespace:
     The file gives the values that the flags would: ``initials``, a
     ``bound`` ({"box": [...]} or {"level": c}), ``size``, ``weights`` and
     ``modulus``, each in place of its flag.  --box and --level override the
-    file's bound.  An optional ``dim`` must match the initials.
+    file's bound; any other flag it gives, or an unknown key, is refused.
+    An optional ``dim`` must match the initials.
     """
     with open(args.config) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config file: expected a JSON object")
+    unknown = sorted(raw.keys() - {"dim", "initials", "bound", "size", "weights", "modulus"})
+    if unknown:
+        raise ValueError(f"config file: unknown key {unknown[0]!r}")
     vectors = _file_list(raw.get("initials"), list, "initials")
     init = [_file_list(v, int, "initials") for v in vectors]
     if raw.get("dim", len(init[0])) != len(init[0]):
         raise DimensionMismatch(f"config file: dim {raw['dim']} does not match the initials")
     values = {"init": init}
     bound = raw.get("bound", {})
-    if not isinstance(bound, dict):
-        raise ValueError("config file: 'bound' must be an object")
+    if not isinstance(bound, dict) or len(bound) > 1 or not bound.keys() <= {"box", "level"}:
+        raise ValueError("config file: 'bound' takes one key, 'box' or 'level'")
     if args.box is None and args.level is None:
         if "box" in bound:
             values["box"] = _file_list(bound["box"], int, "bound.box")
@@ -140,15 +147,10 @@ def _with_config_file(args) -> argparse.Namespace:
         values["weights"] = _file_list(raw["weights"], (int, str), "weights")
     if "modulus" in raw:
         values["cyclic"] = _file_int(raw["modulus"], "modulus")
+    twice = [f"--{dest}" for dest in values if getattr(args, dest) is not None]
+    if twice:
+        raise ValueError(f"{', '.join(twice)} also given by the config file")
     return argparse.Namespace(**{**vars(args), **values})
-
-
-def _bound_from_args(args, dim: int) -> Bound:
-    if args.box is not None:
-        return Bound.box(args.box * dim if len(args.box) == 1 else args.box)
-    if args.level is not None:
-        return Bound.level(args.level)
-    raise ValueError("one of --box or --level is required")
 
 
 def _sizefn_from_args(args) -> SizeFunction:
@@ -166,7 +168,13 @@ def _sizefn_from_args(args) -> SizeFunction:
 def _ulam_set(args, initials, sizefn: SizeFunction | None = None) -> UlamSet:
     """The set grown from ``initials`` within --box or --level."""
     cfg = validate_config(initials, len(initials[0]))
-    return generate(cfg, _bound_from_args(args, cfg.dim), sizefn)
+    if getattr(args, "level", None) is not None:  # columns takes --box only
+        bound = Bound.level(args.level)
+    elif args.box is None:
+        raise ValueError("one of --box or --level is required")
+    else:
+        bound = Bound.box(args.box * cfg.dim if len(args.box) == 1 else args.box)
+    return generate(cfg, bound, sizefn)
 
 
 def _json(doc: dict) -> str:
@@ -174,29 +182,16 @@ def _json(doc: dict) -> str:
     return json.dumps({"version": __version__, **doc}, indent=2) + "\n"
 
 
+def _csv(rows: np.ndarray, names=None) -> str:
+    """CSV of an (n, k) int array, with columns x, y, z or c0, c1, ... unless named."""
+    k = rows.shape[1]
+    names = names or ("xyz"[:k] if k <= 3 else [f"c{i}" for i in range(k)])
+    line = ",".join(["%d"] * k) + "\n"
+    return ",".join(names) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def set_to_csv(uset: UlamSet) -> str:
-    names = "xyz"[:uset.dim] if uset.dim <= 3 else [f"c{i}" for i in range(uset.dim)]
-    row = ",".join(["%d"] * uset.dim) + "\n"
-    return ",".join(names) + "\n" + (row * len(uset)) % tuple(uset.coords.ravel().tolist())
-
-
-def points_from_csv(text: str) -> list[tuple[int, ...]]:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    return [tuple(int(t) for t in ln.split(",")) for ln in lines[1:]]
-
-
-def set_to_json(uset: UlamSet) -> str:
-    return _json({
-        "config": {"dim": uset.dim, "initials": [list(p) for p in uset.config.initials]},
-        "bound": (
-            {"box": list(uset.bound.limits)}
-            if uset.bound.kind == "box"
-            else {"level": int(uset.bound.cap)}
-        ),
-        "size": uset.sizefn.kind,
-        "count": len(uset.points),
-        "points": [list(p) for p in uset.points],
-    })
+    return _csv(uset.coords)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -209,32 +204,26 @@ def _emit(text: str, out: str | None) -> None:
 
 def scatter_svg(points, dim: int, radius: float | None = None,
                 projection: str = "xy") -> str:
-    """Planar SVG scatter of points (tuples of the given dimension).
+    """Planar SVG scatter of points (sequences of the given dimension).
 
     Three-dimensional points are projected either onto the xy-plane or onto
     the orthogonal complement of the all-ones direction.  Byte output is
     deterministic for fixed inputs.
     """
-    if dim == 2:
-        coords = [(float(x), float(y)) for x, y in points]
-    elif dim == 3 and projection == "xy":
-        coords = [(float(x), float(y)) for x, y, _ in points]
-    elif dim == 3 and projection == "complement":
+    if dim not in (2, 3) or projection not in ("xy", "complement"):
+        raise ValueError(f"cannot render dim {dim} with projection {projection!r}")
+    if dim == 3 and projection == "complement":
         s2, s6 = math.sqrt(2.0), math.sqrt(6.0)
         coords = [
             ((x - y) / s2, (x + y - 2 * z) / s6) for x, y, z in points
         ]
     else:
-        raise ValueError(f"cannot render dim {dim} with projection {projection!r}")
+        coords = [(float(p[0]), float(p[1])) for p in points]
 
-    if coords:
-        xs = [c[0] for c in coords]
-        ys = [c[1] for c in coords]
-        lo_x, hi_x = min(0.0, min(xs)), max(xs)
-        lo_y, hi_y = min(0.0, min(ys)), max(ys)
-    else:
-        lo_x = lo_y = 0.0
-        hi_x = hi_y = 1.0
+    xs = [c[0] for c in coords] or [1.0]  # an empty set spans [0, 1]
+    ys = [c[1] for c in coords] or [1.0]
+    lo_x, hi_x = min(0.0, *xs), max(xs)
+    lo_y, hi_y = min(0.0, *ys), max(ys)
     span_x = max(hi_x - lo_x, 1.0)
     span_y = max(hi_y - lo_y, 1.0)
     width = 640
@@ -264,10 +253,8 @@ def scatter_svg(points, dim: int, radius: float | None = None,
         f'<text x="{sx(lo_x):.2f}" y="{sy(lo_y) + 16:.2f}" font-size="12" '
         f'text-anchor="middle">{lo_x:.6g}</text>',
     ]
-    for cx, cy in sorted(coords):
-        parts.append(
-            f'<circle cx="{sx(cx):.2f}" cy="{sy(cy):.2f}" r="{r:.2f}" fill="black"/>'
-        )
+    parts += [f'<circle cx="{sx(cx):.2f}" cy="{sy(cy):.2f}" r="{r:.2f}" fill="black"/>'
+              for cx, cy in sorted(coords)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -276,61 +263,63 @@ def scatter_svg(points, dim: int, radius: float | None = None,
 # Subcommands
 
 
+def _generate_reads(args) -> str:
+    if args.terms is not None:
+        flags = "terms"
+    elif args.cyclic is not None:
+        flags = "terms cyclic x_bound"
+    else:
+        flags = "terms cyclic box level size" + (" weights" if args.size == "weighted" else "")
+    if args.format == "svg":  # only a 3-D set has a projection
+        flags += " radius projection" if len(args.init[0]) == 3 else " radius"
+    return "init config format out " + flags
+
+
+def _generate_output(args) -> tuple:
+    """Integer rows, CSV column names (None: x, y, z) and JSON document of the set."""
+    if args.terms is not None:
+        seq = ulam_sequence([p[0] for p in args.init], args.terms)
+        return np.array(seq.terms, dtype=np.int64)[:, None], None, {
+            "initials": seq.initials,
+            "count": len(seq.terms),
+            "terms": seq.terms,
+        }
+    if args.cyclic is not None:
+        cset = generate_cyclic(args.init, args.cyclic, args.x_bound)
+        return np.array(cset.points, dtype=np.int64).reshape(-1, 2), "xr", {
+            "modulus": cset.modulus,
+            "x_bound": cset.x_bound,
+            "initials": cset.initials,
+            "count": len(cset.points),
+            "points": cset.points,
+        }
+    uset = _ulam_set(args, args.init, _sizefn_from_args(args))
+    bound = uset.bound
+    return uset.coords, None, {
+        "config": {"dim": uset.dim, "initials": uset.config.initials},
+        "bound": ({"box": bound.limits} if bound.kind == "box"
+                  else {"level": int(bound.cap)}),
+        "size": uset.sizefn.kind,
+        "count": len(uset.points),
+        "points": uset.points,
+    }
+
+
 def _cmd_generate(args) -> int:
-    if args.config:
-        args = _with_config_file(args)
-    elif args.init is None:
-        raise ValueError("--init or --config is required")
-    initials = args.init
-    dim = len(initials[0])
-    # refuse what the chosen kind of output would ignore, before any work
+    dim = len(args.init[0])
     if args.terms is not None and dim > 1:
         raise ValueError(f"--terms needs one-dimensional initials, not dimension {dim}")
-    # a sequence or a cyclic set has no lattice bound and no size function
-    kind = "--terms" if args.terms is not None else "--cyclic" if args.cyclic is not None else None
-    lattice_only = (("--box", args.box), ("--level", args.level),
-                    ("--size", args.size), ("--weights", args.weights))
-    ignored = [flag for flag, value in lattice_only if kind and value is not None]
-    if ignored:
-        bounded = "its term count" if kind == "--terms" else "--x-bound"
-        raise ValueError(f"{', '.join(ignored)} apply to lattice sets, not to {kind} "
-                         f"(bounded by {bounded})")
     if args.format == "svg" and dim not in (2, 3):
         what = "a --terms sequence" if args.terms is not None else f"dimension {dim}"
         raise ValueError(f"--format svg draws 2-D and 3-D sets, not {what}")
 
-    if args.terms is not None:
-        seq = ulam_sequence([p[0] for p in initials], args.terms)
-        if args.format == "json":
-            text = _json({
-                "initials": list(seq.initials),
-                "count": len(seq.terms),
-                "terms": list(seq.terms),
-            })
-        else:
-            text = "x\n" + "\n".join(str(t) for t in seq.terms) + "\n"
-    elif args.cyclic is not None:
-        cset = generate_cyclic(initials, args.cyclic, args.x_bound)
-        if args.format == "json":
-            text = _json({
-                "modulus": cset.modulus,
-                "x_bound": cset.x_bound,
-                "initials": [list(p) for p in cset.initials],
-                "count": len(cset.points),
-                "points": [list(p) for p in cset.points],
-            })
-        elif args.format == "svg":
-            text = scatter_svg(cset.points, 2, args.radius)
-        else:
-            text = "\n".join(["x,r"] + [f"{x},{r}" for x, r in cset.points]) + "\n"
+    rows, names, doc = _generate_output(args)
+    if args.format == "json":
+        text = _json(doc)
+    elif args.format == "svg":
+        text = scatter_svg(rows.tolist(), rows.shape[1], args.radius, args.projection)
     else:
-        uset = _ulam_set(args, initials, _sizefn_from_args(args))
-        if args.format == "json":
-            text = set_to_json(uset)
-        elif args.format == "svg":
-            text = scatter_svg(uset.points, uset.dim, args.radius, args.projection)
-        else:
-            text = set_to_csv(uset)
+        text = _csv(rows, names)
     _emit(text, args.out)
     return 0
 
@@ -342,25 +331,15 @@ def _cmd_columns(args) -> int:
         max_period=args.max_period, min_evidence=args.min_evidence,
     )
     if args.format == "json":
-        doc = {
+        profiles = [dataclasses.asdict(p) for p in rep.profiles]
+        for p in profiles:
+            del p["axis"], p["step"]  # the same for every profile
+        _emit(_json({
             "step": rep.step,
-            "profiles": [
-                {
-                    "index": p.index,
-                    "residue": p.residue,
-                    "preperiod": p.preperiod,
-                    "period": p.period,
-                    "pattern": p.pattern,
-                    "empty": p.empty,
-                    "evidence": p.evidence,
-                    "doubling_source": p.doubling_source,
-                }
-                for p in rep.profiles
-            ],
-            "inconclusive": [list(t) for t in rep.inconclusive],
-            "violations": list(rep.violations),
-        }
-        _emit(_json(doc), args.out)
+            "profiles": profiles,
+            "inconclusive": rep.inconclusive,
+            "violations": rep.violations,
+        }), args.out)
     else:
         lines = [f"{'x':>5} {'res':>3} {'preperiod':>9} {'period':>6} "
                  f"{'empty':>5}  pattern"]
@@ -372,11 +351,8 @@ def _cmd_columns(args) -> int:
         for t in rep.inconclusive:
             lines.append(f"{t[0]:>5} {t[1]:>3} {'inconclusive':>16}")
         lines.append(f"nonempty columns: {rep.nonempty_indices()}")
-        by_period: dict[int, set[int]] = {}
-        for p in rep.profiles:
-            by_period.setdefault(p.period, set()).add(p.index)
-        for period in sorted(by_period):
-            xs = sorted(by_period[period])
+        for period in sorted({p.period for p in rep.profiles}):
+            xs = sorted({p.index for p in rep.profiles if p.period == period})
             head = ", ".join(map(str, xs[:14])) + ("..." if len(xs) > 14 else "")
             lines.append(f"period {period:>3}: {len(xs)} columns ({head})")
         for v in rep.violations:
@@ -385,9 +361,19 @@ def _cmd_columns(args) -> int:
     return 1 if rep.violations else 0
 
 
+def _signal_reads(args) -> str:
+    source = "row box level" if args.set_init is not None else "init terms"
+    flags = "set_init alpha out " + source
+    if args.alpha is None:
+        flags += " coarse_step csv_out" + (" csv_points" if args.csv_out else "")
+    return flags
+
+
 def _cmd_signal(args) -> int:
     if args.csv_points < 1:
         raise ValueError("--csv-points must be at least 1")
+    if args.alpha is not None and abs(args.alpha) > sys.float_info.max:
+        raise ValueError("--alpha is outside the float range")
     if args.set_init is not None:
         # exploratory: scan x-coordinates of members along a fixed row
         uset = _ulam_set(args, args.set_init)
@@ -400,8 +386,6 @@ def _cmd_signal(args) -> int:
         seq = ulam_sequence([p[0] for p in args.init], args.terms)
 
     if args.alpha is not None:
-        if abs(args.alpha) > sys.float_info.max:
-            raise ValueError("--alpha is outside the float range")
         total = cosine_sum(seq, args.alpha)
         _emit(_json({
             "alpha": float(args.alpha),
@@ -417,8 +401,7 @@ def _cmd_signal(args) -> int:
         rows = ["alpha,normalized_sum"]
         for j in range(0, len(scan.sums), stride):
             rows.append(f"{scan.coarse_alpha(j):.9f},{scan.sums[j]:.9f}")
-        with open(args.csv_out, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        _emit("\n".join(rows) + "\n", args.csv_out)
     _emit(_json({
         "terms": len(seq.terms),
         "coarse_step": scan.alpha_step,
@@ -427,6 +410,11 @@ def _cmd_signal(args) -> int:
         "sign_exceptions": sign_exception_set(seq, scan.best_alpha),
     }), args.out)
     return 0
+
+
+def _verify_reads(args) -> str:
+    parametric = get_oracle(args.oracle, args.m, args.n).params
+    return "init box level" + (" m n" if parametric else "")
 
 
 def _cmd_verify(args) -> int:
@@ -453,6 +441,10 @@ def _cmd_equiv(args) -> int:
     same = structurally_equivalent(va, vb)
     print("equivalent" if same else "not equivalent")
     return 0 if same else 1
+
+
+def _embed_reads(args) -> str:
+    return "init target out" + (" symbols" if args.target == "lattice" else "")
 
 
 def _cmd_embed(args) -> int:
@@ -488,13 +480,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_bound(p):
-        p.add_argument("--box", type=_int_list, help="comma-separated per-coordinate maxima")
-        p.add_argument("--level", type=int, help="maximum level (f-value)")
+        bound = p.add_mutually_exclusive_group()
+        bound.add_argument("--box", type=_int_list, help="comma-separated per-coordinate maxima")
+        bound.add_argument("--level", type=int, help="maximum level (f-value)")
 
     g = sub.add_parser("generate", help="generate a set or sequence")
-    g.add_argument("--init", type=parse_point_list,
-                   help="initial vectors, e.g. \"(1,0),(2,0),(0,1)\"")
-    g.add_argument("--config", help="JSON config file")
+    source = g.add_mutually_exclusive_group(required=True)
+    source.add_argument("--init", type=parse_point_list,
+                        help="initial vectors, e.g. \"(1,0),(2,0),(0,1)\"")
+    source.add_argument("--config", help="JSON config file")
     add_bound(g)
     g.add_argument("--terms", type=int, help="term count for dim 1")
     g.add_argument("--cyclic", type=int, help="residue modulus n")
@@ -507,23 +501,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SVG view of a 3-D set")
     g.add_argument("--radius", type=float, help="SVG point radius")
     g.add_argument("--out")
-    g.set_defaults(func=_cmd_generate)
+    g.set_defaults(func=_cmd_generate, reads=_generate_reads, parser=g)
 
     c = sub.add_parser("columns", help="column periodicity report")
     c.add_argument("--init", type=parse_point_list, required=True)
-    add_bound(c)
+    c.add_argument("--box", type=_int_list, required=True,
+                   help="comma-separated per-coordinate maxima")
     c.add_argument("--step", type=int, default=1)
-    c.add_argument("--max-period", type=int, default=64, dest="max_period")
-    c.add_argument("--min-evidence", type=int, default=3, dest="min_evidence")
+    c.add_argument("--max-period", type=int, default=DEFAULT_MAX_PERIOD, dest="max_period")
+    c.add_argument("--min-evidence", type=int, default=DEFAULT_MIN_EVIDENCE,
+                   dest="min_evidence")
     c.add_argument("--format", choices=["table", "json"], default="table")
     c.add_argument("--out")
-    c.set_defaults(func=_cmd_columns)
+    c.set_defaults(func=_cmd_columns, parser=c,
+                   reads=lambda args: "init box step max_period min_evidence format out")
 
     s = sub.add_parser("signal", help="cosine-sum frequency analysis")
-    s.add_argument("--init", type=parse_point_list, default="1,2")
+    s.add_argument("--init", type=parse_point_list, default=[(1,), (2,)])
     s.add_argument("--terms", type=int, default=50000)
     s.add_argument("--alpha", type=Fraction, help="evaluate at one frequency")
-    s.add_argument("--coarse-step", type=float, default=1e-5, dest="coarse_step")
+    s.add_argument("--coarse-step", type=float, default=_COARSE_STEP, dest="coarse_step")
     s.add_argument("--csv-out", dest="csv_out", help="write coarse scan CSV")
     s.add_argument("--csv-points", type=int, default=4000, dest="csv_points")
     s.add_argument("--set-init", type=parse_point_list, dest="set_init",
@@ -531,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--row", type=int, default=0)
     add_bound(s)
     s.add_argument("--out")
-    s.set_defaults(func=_cmd_signal)
+    s.set_defaults(func=_cmd_signal, reads=_signal_reads, parser=s)
 
     v = sub.add_parser("verify", help="diff a generated set against an oracle")
     v.add_argument("oracle")
@@ -539,27 +536,39 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int)
     v.add_argument("--init", type=parse_point_list)
     add_bound(v)
-    v.set_defaults(func=_cmd_verify)
+    v.set_defaults(func=_cmd_verify, reads=_verify_reads, parser=v)
 
     e = sub.add_parser("equiv", help="structural equivalence of two configs")
     e.add_argument("--a", required=True)
     e.add_argument("--b", required=True)
     e.add_argument("--symbols")
-    e.set_defaults(func=_cmd_equiv)
+    e.set_defaults(func=_cmd_equiv, reads=lambda args: "a b symbols", parser=e)
 
     m = sub.add_parser("embed", help="integer-lattice or line embedding")
     m.add_argument("--init", required=True)
     m.add_argument("--symbols")
     m.add_argument("--target", choices=["lattice", "line"], default="lattice")
     m.add_argument("--out")
-    m.set_defaults(func=_cmd_embed)
+    m.set_defaults(func=_cmd_embed, reads=_embed_reads, parser=m)
 
     n = sub.add_parser("normalize", help="axis normalization of a planar config")
     n.add_argument("--init", type=parse_point_list, required=True)
     n.add_argument("--out")
-    n.set_defaults(func=_cmd_normalize)
+    n.set_defaults(func=_cmd_normalize, reads=lambda args: "init out", parser=n)
 
     return ap
+
+
+def _refuse_unread(args) -> None:
+    """Raise ValueError on each flag given away from its default that args.reads omits."""
+    reads = args.reads(args).split()
+    flags = [a for a in args.parser._actions if a.option_strings and a.dest != "help"]
+    unread = [a.option_strings[0] for a in flags
+              if a.dest not in reads and getattr(args, a.dest) != a.default]
+    if unread:
+        read = [a.option_strings[0] for a in flags if a.dest in reads]
+        raise ValueError(f"{', '.join(unread)}: not read by this {args.command} run, "
+                         f"which reads {', '.join(read)}")
 
 
 def run(argv=None) -> int:
@@ -569,6 +578,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:
+        if getattr(args, "config", None):
+            args = _with_config_file(args)
+        _refuse_unread(args)
         return args.func(args)
     except (UlamError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

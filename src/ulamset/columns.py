@@ -72,6 +72,13 @@ class PeriodFit:
         return set(self.pattern) == {"0"}
 
 
+def _check_period_args(max_period: int, min_evidence: int) -> None:
+    if max_period < 1:
+        raise ValueError("max_period must be at least 1")
+    if min_evidence < 3:
+        raise ValueError("min_evidence must be at least 3")
+
+
 def detect_eventual_period(
     word: str,
     max_period: int = DEFAULT_MAX_PERIOD,
@@ -90,10 +97,7 @@ def detect_eventual_period(
     set.  Returns None when inconclusive.
     """
     _check_word(word, "01")
-    if min_evidence < 3:
-        raise ValueError("min_evidence must be at least 3")
-    if max_period < 1:
-        raise ValueError("max_period must be at least 1")
+    _check_period_args(max_period, min_evidence)
     words = np.frombuffer(word.encode("ascii"), dtype=np.uint8)[None]
     starts, periods = _grid_periods(words, max_period, min_evidence + edge_guard)
     return _fit(words[0], int(starts[0]), int(periods[0]))
@@ -212,13 +216,6 @@ class ColumnsReport:
     def nonempty_indices(self) -> list[int]:
         return sorted({p.index for p in self.profiles if not p.empty})
 
-    def periods(self) -> dict[int, int]:
-        """Largest conclusive per-residue period for each column index."""
-        out: dict[int, int] = {}
-        for p in self.profiles:
-            out[p.index] = max(out.get(p.index, 0), p.period)
-        return out
-
 
 def _odd_part(n: int) -> int:
     while n % 2 == 0:
@@ -248,10 +245,7 @@ def columns_report(
         raise RangeExceedsBound("column reports need a box-bounded planar set")
     if step < 1:
         raise ValueError("need step >= 1")
-    if max_period < 1:
-        raise ValueError("max_period must be at least 1")
-    if min_evidence < 3:
-        raise ValueError("min_evidence must be at least 3")
+    _check_period_args(max_period, min_evidence)
     other = 1 - axis
     hi_sweep = uset.bound.limits[axis]
     hi_index = uset.bound.limits[other]

@@ -54,15 +54,6 @@ def _axes_2_3_member(x, y):
     )
 
 
-def _axes_2_3_extra_member(x, y):
-    """Closed form for {(1,0), (0,1), (2,3)}: both unit rows, the extra
-    initial, and the even-odd block (2n+4, 2m+3)."""
-    return (
-        (x == 1) | (y == 1) | ((x == 2) & (y == 3))
-        | ((4 <= x) & (x % 2 == 0) & (3 <= y) & (y % 2 == 1))
-    )
-
-
 def _case1_member(m: int, n: int, x, y):
     jx = (x - 1) // (2 * m)
     jy = (y - 1) // (2 * n)
@@ -172,8 +163,9 @@ _FIXED_ORACLES = {
         "config-2_0-0_1-3_1", 2, _axes_2_3_member,
         initials=((2, 0), (0, 1), (3, 1)),
     ),
+    # the shifted-lattice shape at m = 2, below the classified m >= 4
     "config-1_0-0_1-2_3": lambda: Oracle(
-        "config-1_0-0_1-2_3", 2, _axes_2_3_extra_member,
+        "config-1_0-0_1-2_3", 2, lambda x, y: _case3_member(2, x, y),
         initials=((1, 0), (0, 1), (2, 3)),
     ),
     "unit3d-hyperplane": lambda: Oracle(

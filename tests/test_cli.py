@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -11,7 +12,6 @@ from ulamset.cli import (
     parse_point_list,
     parse_symbol_table,
     parse_symbolic_vectors,
-    points_from_csv,
     run,
     scatter_svg,
     set_to_csv,
@@ -52,9 +52,9 @@ def test_parse_symbolic_vectors():
 
 def test_csv_round_trip():
     s = generate(validate_config([(1, 0), (2, 0), (0, 1)], 2), Bound.box((15, 15)))
-    text = set_to_csv(s)
-    assert text.splitlines()[0] == "x,y"
-    assert tuple(points_from_csv(text)) == s.points
+    header, *rows = set_to_csv(s).splitlines()
+    assert header == "x,y"
+    assert tuple(tuple(map(int, row.split(","))) for row in rows) == s.points
 
 
 def test_generate_csv_golden_head(capsys):
@@ -361,6 +361,20 @@ def test_svg_of_an_unplottable_dimension_exits_2_before_generating(
     (["--cyclic", "6", "--init", "(1,3),(3,4)", "--x-bound", "8", "--size", "euclidean"],
      "--size"),
     (["--init", "1,2", "--terms", "8", "--size", "weighted", "--weights", "2"], "--weights"),
+    (["--init", "(1,0),(0,1)", "--box", "3,3", "--weights", "1,2"], "--weights"),
+    (["--init", "(1,0),(0,1)", "--box", "3,3", "--radius", "4", "--projection", "complement"],
+     "--radius"),
+    (["--init", "(1,0),(0,1)", "--box", "3,3", "--radius", "4", "--projection", "complement"],
+     "--projection"),
+    (["--init", "(1,0),(0,1)", "--box", "3,3", "--level", "1"], "--level"),
+    (["--init", "(1,0),(0,1)", "--box", "3,3", "--x-bound", "5"], "--x-bound"),
+    (["--init", "1,2", "--terms", "8", "--x-bound", "5"], "--x-bound"),
+    (["--init", "1,2", "--terms", "8", "--projection", "complement"], "--projection"),
+    (["--init", "1,2", "--terms", "8", "--cyclic", "6"], "--cyclic"),
+    (["--cyclic", "6", "--init", "(1,3),(3,4)", "--x-bound", "8", "--format", "svg",
+      "--projection", "complement"], "--projection"),
+    (["--init", "(1,0),(0,1)", "--box", "5,5", "--format", "svg", "--projection", "complement"],
+     "--projection"),
 ])
 def test_generate_rejects_flags_it_does_not_use(monkeypatch, capsys, argv, flag):
     def fail(*args):
@@ -418,7 +432,8 @@ def test_empty_point_list_exits_2(capsys, argv):
     assert "--init" in _usage_error(capsys, argv)
 
 
-def test_signal_cli_rejects_alpha_outside_float_range(capsys):
+def test_signal_cli_rejects_alpha_outside_float_range(monkeypatch, capsys):
+    _fail_on_work(monkeypatch)
     err = _usage_error(capsys, ["signal", "--init", "1,2", "--terms", "100",
                                 "--alpha", "1e400"])
     assert "--alpha is outside the float range" in err
@@ -448,6 +463,172 @@ def test_readme_outputs_match_frozen_checksums(capsys, argv, size, digest):
     out = capsys.readouterr().out
     assert len(out) == size
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the standard output of command lines that no other test runs,
+# with their exit codes, recorded before the generate writers were merged
+PATH_OUTPUT_SHA256 = [
+    (["generate", "--init", "1,2", "--terms", "25"], 0, 71,
+     "b3814386a2093dde354137624ec32d4980ee45f56d3eecd9f99166c52e323895"),
+    (["generate", "--init", "1,2", "--terms", "25", "--format", "json"], 0, 285,
+     "9e674bc0543247dcbcbdd01a5074263d92c6a191ea80409ef06d913465e937f7"),
+    (["generate", "--cyclic", "6", "--init", "(1,3),(3,4)", "--x-bound", "40",
+      "--format", "json"], 0, 1774,
+     "4b68ab37c52d85b1b5c8dad38fdb53610e1d1c16f508f0b43744c756c9b5d244"),
+    (["verify", "theorem1", "--init", "(1,0),(0,1),(2,3)", "--box", "10,10"], 1, 1103,
+     "2ee3ef399c67106da781001a781a3c20015fb38452ea12c2636ba2c53b5cc4d1"),
+    (["embed", "--init", "(1,0),(0,1)", "--target", "line"], 0, 141,
+     "a02540862d55e1dcb014b0cb9c071ba1d31575938e1606637167691eb2afe65c"),
+    (["columns", "--init", "(1,0),(0,3)", "--box", "6,8"], 0, 347,  # an inconclusive row
+     "b977b7438042f4c1242be9bc2708bcf38fb0bfa648da238b2dacfc6971fc8c9b"),
+    (["columns", "--init", "(1,0),(0,3)", "--box", "6,60"], 1, 664,  # VIOLATION rows
+     "95e6b291ec6a70d364c20f7eda73b88e1f2643167c8e5a03fdd80e7cb422f4ac"),
+]
+
+
+@pytest.mark.parametrize("argv,code,size,digest", PATH_OUTPUT_SHA256)
+def test_path_outputs_match_frozen_checksums(capsys, argv, code, size, digest):
+    assert run(argv) == code
+    out = capsys.readouterr().out
+    assert len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _fail_on_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in ("generate", "ulam_sequence", "generate_cyclic", "alpha_scan"):
+        monkeypatch.setattr(cli, name, fail)
+
+
+_SCAN = ["signal", "--init", "1,2", "--terms", "200"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "theorem1", "--m", "3", "--n", "5", "--box", "10,10"], "--m"),
+    (["verify", "extra-vector", "--m", "6", "--n", "4", "--box", "40,40", "--level", "3"],
+     "--level"),
+    (_SCAN + ["--row", "3", "--box", "5,5"], "--row"),
+    (_SCAN + ["--alpha", "2.57", "--csv-out", "scan.csv"], "--csv-out"),
+    (_SCAN + ["--alpha", "2.57", "--coarse-step", "1e-6"], "--coarse-step"),
+    (["signal", "--set-init", "(1,0),(0,1)", "--box", "40,40", "--row", "1",
+      "--terms", "7", "--init", "1,3"], "--terms"),
+    (["embed", "--init", "(1,0),(0,1)", "--target", "line", "--symbols", "s=1.5"],
+     "--symbols"),
+    (["columns", "--init", "(1,0),(2,0),(0,1)", "--level", "30"], "--box"),
+])
+def test_other_subcommands_reject_flags_they_do_not_read(
+        monkeypatch, tmp_path, capsys, argv, flag):
+    _fail_on_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"initials": [[1, 0], [0, 1]], "bound": {"box": [3, 3]}, "sise": "sum"}, "'sise'"),
+    ({"initials": [[1, 0], [0, 1]], "bound": {"box": [3, 3], "level": 2}}, "'bound'"),
+    ({"initials": [[1, 0], [0, 1]], "bound": {"boxx": [3, 3]}}, "'bound'"),
+])
+def test_config_file_unknown_key_or_two_bounds_exits_2(
+        monkeypatch, tmp_path, capsys, doc, named):
+    _fail_on_work(monkeypatch)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert named in _usage_error(capsys, ["generate", "--config", str(cfg)])
+
+
+_LATTICE_FILE = {"initials": [[1, 0], [0, 1]], "bound": {"box": [5, 5]}}
+
+
+@pytest.mark.parametrize("doc,flags", [
+    ({**_LATTICE_FILE, "size": "sum"}, ["--size", "euclidean"]),
+    ({**_LATTICE_FILE, "size": "weighted", "weights": [1, 2]}, ["--weights", "1,3"]),
+    ({"initials": [[1, 3], [3, 4]], "modulus": 6}, ["--cyclic", "5"]),
+    (_LATTICE_FILE, ["--init", "(1,0),(0,1)"]),
+])
+def test_config_file_and_a_flag_for_the_same_value_exit_2(
+        monkeypatch, tmp_path, capsys, doc, flags):
+    _fail_on_work(monkeypatch)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["generate", "--config", str(cfg)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flags[0] in captured.err
+
+
+# One valid command line per mode of each subcommand: the flags a mode reads
+# depend on the others (a --terms sequence has no bound, --weights needs
+# --size weighted, only a 3-D SVG has a projection, ...).
+_MODES = {
+    "generate": [
+        ["--init", "(1,0),(0,1)", "--box", "3,3"],
+        ["--init", "(1,0),(0,1)", "--level", "4", "--size", "weighted", "--weights", "1,2"],
+        ["--init", "(1,0),(0,1)", "--box", "3,3", "--format", "svg"],
+        ["--init", "(1,0,0),(0,1,0),(0,0,1)", "--level", "5", "--format", "svg"],
+        ["--init", "1,2", "--terms", "8", "--format", "json"],
+        ["--cyclic", "6", "--init", "(1,3),(3,4)"],
+        ["--cyclic", "6", "--init", "(1,3),(3,4)", "--format", "svg"],
+    ],
+    "columns": [["--init", "(1,0),(0,1)", "--box", "5,20"]],
+    "signal": [
+        ["--init", "1,2", "--terms", "200"],
+        ["--init", "1,2", "--terms", "200", "--csv-out", "scan.csv"],
+        ["--init", "1,2", "--terms", "200", "--alpha", "2.57"],
+        ["--set-init", "(1,0),(0,1)", "--box", "40,40", "--row", "1"],
+        ["--set-init", "(1,0),(0,1)", "--level", "40", "--row", "1", "--alpha", "3"],
+    ],
+    "verify": [["theorem1", "--box", "10,10"],
+               ["extra-vector", "--m", "6", "--n", "4", "--box", "40,40"]],
+    "equiv": [["--a", "(1,0),(0,1)", "--b", "(2,0),(0,2)"]],
+    "embed": [["--init", "(1,0),(0,1)"], ["--init", "(1,0),(0,1)", "--target", "line"]],
+    "normalize": [["--init", "(2,5),(3,1)"]],
+}
+
+# a value away from the default for every flag that some mode does not read
+_OTHER_VALUE = {
+    "--init": "1,3", "--config": "run.json", "--box": "5,5", "--level": "5",
+    "--terms": "7", "--cyclic": "6", "--x-bound": "9", "--size": "euclidean",
+    "--weights": "1,2", "--projection": "complement", "--radius": "2", "--out": "o.txt",
+    "--alpha": "2.5", "--coarse-step": "2e-5", "--csv-out": "scan.csv",
+    "--csv-points": "10", "--set-init": "(1,0),(0,1)", "--row": "2", "--m": "6",
+    "--n": "4", "--symbols": "s=1.5",
+}
+
+
+def _subcommands(parser) -> dict:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_every_flag_a_mode_does_not_read_exits_2_before_any_work(
+        monkeypatch, tmp_path, capsys):
+    _fail_on_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    parser = cli.build_parser()
+    assert set(_MODES) == set(_subcommands(parser))
+    for command, sub in _subcommands(parser).items():
+        flags = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+        read_somewhere = set()
+        for base in _MODES[command]:
+            args = parser.parse_args([command] + base)
+            reads = args.reads(args).split()
+            read_somewhere.update(reads)
+            for a in flags:
+                if a.dest in reads:
+                    continue
+                flag = a.option_strings[0]
+                case = (command, base, flag)
+                assert run([command] + base + [flag, _OTHER_VALUE[flag]]) == 2, case
+                captured = capsys.readouterr()
+                assert captured.out == "" and flag in captured.err, case
+        # a flag that no mode reads would be refused everywhere
+        assert {a.dest for a in flags} <= read_somewhere, command
+    assert not list(tmp_path.iterdir())  # no --out, --csv-out or scan file written
 
 
 def test_csv_of_a_replaced_set_uses_its_points():

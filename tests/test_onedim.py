@@ -211,3 +211,18 @@ def test_first_untracked_member_of_the_class_inside_a_block(initials, j, first):
     ):
         fast = ulam_sequence(initials, 40).terms
     assert list(fast) == brute_force_sequence(initials, 40)
+
+
+def test_weak_signal_falls_back_to_full_counts():
+    # (67, 279) has a weak hidden signal: more than _MAX_OUTLIER_SHARE of the
+    # members are outliers at every estimate (2000, 4000 and 8000 members),
+    # so each estimate falls back to j = 0 and the counts stay complete
+    terms = ulam_sequence((67, 279), 9000).terms
+    with mock.patch.object(onedim, "_estimate", lambda members, j: 0):
+        assert terms == ulam_sequence((67, 279), 9000).terms
+    for m in (2000, 4000, 8000):
+        # every term after the initials exceeds 279: the first m are the members
+        members = np.array(terms[:m], dtype=np.int64)
+        estimate = onedim._estimate(members, 0)
+        outliers = np.count_nonzero(~onedim._in_class(onedim._residues(members, estimate)))
+        assert outliers > onedim._MAX_OUTLIER_SHARE * m
