@@ -87,42 +87,32 @@ def sym_vector(coords, symbols: tuple[str, ...] = ()) -> SymbolicVector:
 
 
 def _coerce_vectors(config) -> list[SymbolicVector]:
-    """Accept an InitialConfig, integer tuples, or SymbolicVectors."""
-    if isinstance(config, InitialConfig):
-        vecs = [sym_vector(p) for p in config.initials]
-    else:
-        vecs = []
-        for v in config:
-            if isinstance(v, SymbolicVector):
-                vecs.append(v)
-            elif isinstance(v, (int, Fraction)):
-                vecs.append(sym_vector((v,)))
-            else:
-                vecs.append(sym_vector(tuple(v)))
-    if not vecs:
+    """Accept an InitialConfig, numbers, integer tuples, or SymbolicVectors.
+
+    Every vector is rebuilt by ``sym_vector`` over the one symbol table the
+    symbolic vectors declare, so plain coordinates get zero coefficients.
+    """
+    items = list(config.initials if isinstance(config, InitialConfig) else config)
+    if not items:
         raise MismatchedArity("empty configuration")
-    symbols = ()
-    for v in vecs:
-        if v.symbols:
-            if symbols and v.symbols != symbols:
-                raise DimensionMismatch("vectors declare different symbol tables")
-            symbols = v.symbols
+    tables = {v.symbols for v in items if isinstance(v, SymbolicVector) and v.symbols}
+    if len(tables) > 1:
+        raise DimensionMismatch("vectors declare different symbol tables")
+    symbols = tables.pop() if tables else ()
+    vecs = []
+    for v in items:
+        if isinstance(v, SymbolicVector):
+            # a symbol-free vector contributes its rational parts
+            v = v.entries if v.symbols else [c for (c,) in v.entries]
+        elif isinstance(v, (int, Fraction)):
+            v = (v,)
+        vecs.append(sym_vector(v, symbols))
     dim = vecs[0].dim
     if dim == 0:
         raise DimensionMismatch("vectors have no coordinates")
-    out = []
-    for v in vecs:
-        if v.dim != dim:
-            raise DimensionMismatch("vectors have mixed dimensions")
-        if v.symbols == symbols:
-            out.append(v)
-        else:  # pad a symbol-free vector to the shared table
-            rows = tuple(
-                row + (Fraction(0),) * (len(symbols) - len(row) + 1)
-                for row in v.entries
-            )
-            out.append(SymbolicVector(rows, symbols))
-    return out
+    if any(v.dim != dim for v in vecs):
+        raise DimensionMismatch("vectors have mixed dimensions")
+    return vecs
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +161,21 @@ def row_hnf(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat[:r] if any(row))
 
 
-def integer_kernel(rows) -> tuple[tuple[int, ...], ...]:
-    """HNF basis of {x in Z^k : M x = 0} for an integer matrix M (rows).
+def _integer_row(row) -> list[int]:
+    """A rational row scaled by the lcm of its denominators."""
+    frs = [Fraction(c) for c in row]
+    lcm = math.lcm(*(f.denominator for f in frs))
+    return [int(f * lcm) for f in frs]
 
-    Row-reduce [M^T | I_k]: the rows whose M^T part vanishes span the
+
+def integer_kernel(rows) -> tuple[tuple[int, ...], ...]:
+    """HNF basis of {x in Z^k : M x = 0} for a rational matrix M (rows).
+
+    Each row is scaled to integers first, which keeps the kernel.  Then
+    row-reduce [M^T | I_k]: the rows whose M^T part vanishes span the
     kernel, and in the HNF of the whole matrix they already form its HNF.
     """
-    rows = [list(map(int, r)) for r in rows]
+    rows = [_integer_row(r) for r in rows]
     if not rows:
         return ()
     m, k = len(rows), len(rows[0])
@@ -212,12 +210,7 @@ def characteristic_lattice(config) -> CharacteristicLattice:
     dim = vecs[0].dim
     # one constraint row per (coordinate, basis element of {1, symbols});
     # an all-zero row leaves the kernel unchanged
-    rows = []
-    for i in range(dim):
-        for t in range(width):
-            frs = [v.entries[i][t] for v in vecs]
-            lcm = math.lcm(*(f.denominator for f in frs))
-            rows.append([int(f * lcm) for f in frs])
+    rows = [[v.entries[i][t] for v in vecs] for i in range(dim) for t in range(width)]
     return CharacteristicLattice(k, integer_kernel(rows))
 
 
@@ -328,41 +321,24 @@ class PrimeProductSize:
 # Integer-lattice embedding
 
 
-def _rref(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (matrix, pivot columns)."""
-    mat = [row[:] for row in mat]
-    m = len(mat)
-    k = len(mat[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, m) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [a * inv for a in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return mat, pivots
-
-
 def _span_coordinates(flat):
     """Greedy input-order spanning subset Q of the vectors, and the rational
     coordinates of every vector over Q.
 
-    One RREF of the matrix whose columns are the vectors: its pivot columns
-    are the vectors outside the span of the earlier ones, and the first
-    len(Q) entries of column i are the coordinates of vector i.
+    A vector joins Q when [Q | v] has a trivial integer kernel.  Over the
+    final Q, the kernel of [Q | v] is one row (a, b) with b != 0, since Q is
+    independent and spans v; so v = -(a/b) . Q.
     """
-    red, q_idx = _rref([list(col) for col in zip(*flat)])
-    return q_idx, [[red[j][i] for j in range(len(q_idx))] for i in range(len(flat))]
+    q_idx: list[int] = []
+    for i, v in enumerate(flat):
+        if not integer_kernel(zip(*[flat[j] for j in q_idx], v)):
+            q_idx.append(i)
+    coords = []
+    for v in flat:
+        (relation,) = integer_kernel(zip(*[flat[j] for j in q_idx], v))
+        *a, b = relation
+        coords.append([-Fraction(c, b) for c in a])
+    return q_idx, coords
 
 
 def embed_integer_lattice(config, symbol_values=None) -> InitialConfig:

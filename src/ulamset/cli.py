@@ -29,12 +29,12 @@ from .algebra import (
     structurally_equivalent,
     sym_vector,
 )
-from .columns import DEFAULT_MAX_PERIOD, DEFAULT_MIN_EVIDENCE, columns_report
+from .columns import DEFAULT_MAX_PERIOD, DEFAULT_MIN_EVIDENCE, check_column_args, columns_report
 from .core import Bound, SizeFunction, UlamSet, generate, validate_config
 from .cyclic import generate_cyclic
 from .errors import DimensionMismatch, UlamError
 from .onedim import Sequence1D, ulam_sequence
-from .signal import _COARSE_STEP, alpha_scan, cosine_sum, sign_exception_set
+from .signal import _COARSE_STEP, alpha_scan, check_grid_step, cosine_sum, sign_exception_set
 from .verify import compare_set_to_oracle, get_oracle
 
 
@@ -100,14 +100,19 @@ def _fraction_list(text: str) -> tuple[Fraction, ...]:
     return tuple(Fraction(t) for t in text.split(","))
 
 
+def _is_kind(value, kind) -> bool:
+    """isinstance, except that a JSON true or false is not an integer."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _file_list(value, kind, key: str) -> tuple:
-    if not isinstance(value, list) or not value or not all(isinstance(v, kind) for v in value):
+    if not isinstance(value, list) or not value or not all(_is_kind(v, kind) for v in value):
         raise ValueError(f"config file: {key!r} must be a nonempty list")
     return tuple(value)
 
 
 def _file_int(value, key: str) -> int:
-    if not isinstance(value, int):
+    if not _is_kind(value, int):
         raise ValueError(f"config file: {key!r} must be an integer")
     return value
 
@@ -165,9 +170,9 @@ def _sizefn_from_args(args) -> SizeFunction:
     raise ValueError(f"unknown size function {args.size!r}")
 
 
-def _ulam_set(args, initials, sizefn: SizeFunction | None = None) -> UlamSet:
-    """The set grown from ``initials`` within --box or --level."""
-    cfg = validate_config(initials, len(initials[0]))
+def _ulam_set(args, initials, dim: int, sizefn: SizeFunction | None = None) -> UlamSet:
+    """The set grown from ``initials`` of dimension ``dim`` within --box or --level."""
+    cfg = validate_config(initials, dim)
     if getattr(args, "level", None) is not None:  # columns takes --box only
         bound = Bound.level(args.level)
     elif args.box is None:
@@ -293,7 +298,7 @@ def _generate_output(args) -> tuple:
             "count": len(cset.points),
             "points": cset.points,
         }
-    uset = _ulam_set(args, args.init, _sizefn_from_args(args))
+    uset = _ulam_set(args, args.init, len(args.init[0]), _sizefn_from_args(args))
     bound = uset.bound
     return uset.coords, None, {
         "config": {"dim": uset.dim, "initials": uset.config.initials},
@@ -325,7 +330,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_columns(args) -> int:
-    uset = _ulam_set(args, args.init)
+    check_column_args(args.max_period, args.min_evidence, args.step)
+    uset = _ulam_set(args, args.init, 2)
     rep = columns_report(
         uset, axis=1, step=args.step,
         max_period=args.max_period, min_evidence=args.min_evidence,
@@ -374,9 +380,10 @@ def _cmd_signal(args) -> int:
         raise ValueError("--csv-points must be at least 1")
     if args.alpha is not None and abs(args.alpha) > sys.float_info.max:
         raise ValueError("--alpha is outside the float range")
+    check_grid_step(args.coarse_step)
     if args.set_init is not None:
         # exploratory: scan x-coordinates of members along a fixed row
-        uset = _ulam_set(args, args.set_init)
+        uset = _ulam_set(args, args.set_init, 2)
         xs = sorted(p[0] for p in uset.points if p[1] == args.row and p[0] > 0)
         if len(xs) < 2:
             print("row has too few members to scan", file=sys.stderr)
@@ -419,7 +426,7 @@ def _verify_reads(args) -> str:
 
 def _cmd_verify(args) -> int:
     oracle = get_oracle(args.oracle, args.m, args.n)
-    uset = _ulam_set(args, oracle.initials if args.init is None else args.init)
+    uset = _ulam_set(args, oracle.initials if args.init is None else args.init, oracle.dim)
     rep = compare_set_to_oracle(uset, oracle, uset.bound)
     if rep.ok:
         print(f"verified: {oracle.oracle_id} on {len(uset)} points, "

@@ -72,11 +72,14 @@ class PeriodFit:
         return set(self.pattern) == {"0"}
 
 
-def _check_period_args(max_period: int, min_evidence: int) -> None:
+def check_column_args(max_period: int, min_evidence: int, step: int = 1) -> None:
+    """Refuse a step, period bound or evidence count that no detection takes."""
+    if step < 1:
+        raise ValueError(f"step must be at least 1, got {step}")
     if max_period < 1:
-        raise ValueError("max_period must be at least 1")
+        raise ValueError(f"max_period must be at least 1, got {max_period}")
     if min_evidence < 3:
-        raise ValueError("min_evidence must be at least 3")
+        raise ValueError(f"min_evidence must be at least 3, got {min_evidence}")
 
 
 def detect_eventual_period(
@@ -97,7 +100,7 @@ def detect_eventual_period(
     set.  Returns None when inconclusive.
     """
     _check_word(word, "01")
-    _check_period_args(max_period, min_evidence)
+    check_column_args(max_period, min_evidence)
     words = np.frombuffer(word.encode("ascii"), dtype=np.uint8)[None]
     starts, periods = _grid_periods(words, max_period, min_evidence + edge_guard)
     return _fit(words[0], int(starts[0]), int(periods[0]))
@@ -243,9 +246,7 @@ def columns_report(
     """
     if uset.dim != 2 or uset.bound.kind != "box":
         raise RangeExceedsBound("column reports need a box-bounded planar set")
-    if step < 1:
-        raise ValueError("need step >= 1")
-    _check_period_args(max_period, min_evidence)
+    check_column_args(max_period, min_evidence, step)
     other = 1 - axis
     hi_sweep = uset.bound.limits[axis]
     hi_index = uset.bound.limits[other]

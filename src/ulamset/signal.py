@@ -156,6 +156,12 @@ def _grid_sums(
     return out
 
 
+def check_grid_step(grid_step: float) -> None:
+    """Refuse a coarse grid step outside (0, 1e-4]; a scan checks it first."""
+    if not 0 < grid_step <= 1e-4:
+        raise ValueError(f"grid step must be in (0, 1e-4], got {grid_step}")
+
+
 def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
     """Locate the minimizer of S(alpha)/N over (0, pi].
 
@@ -166,8 +172,7 @@ def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
     round evaluated by ``_grid_sums``.  The refined value never exceeds the
     coarse minimum.
     """
-    if not 0 < grid_step <= 1e-4:
-        raise ValueError(f"grid step must be in (0, 1e-4], got {grid_step}")
+    check_grid_step(grid_step)
     terms = np.asarray(seq.terms, dtype=np.int64)
     n = terms.size
     m, spectrum = fourier_sums(terms, grid_step)

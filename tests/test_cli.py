@@ -561,6 +561,53 @@ def test_config_file_and_a_flag_for_the_same_value_exit_2(
     assert captured.out == "" and flags[0] in captured.err
 
 
+_COLUMNS = ["columns", "--init", "(2,0),(3,0),(0,1)", "--box", "70,3000"]
+
+
+# Values that a library function refuses: the command checks them with the
+# same rule before it generates anything.  A config file, when given, is
+# written to run.json.
+@pytest.mark.parametrize("argv,doc,named", [
+    (["signal", "--set-init", "1,2", "--box", "10"], None, "dimension 2"),
+    (["signal", "--set-init", "(1,0,0),(0,1,0)", "--box", "4,4,4", "--row", "1"], None,
+     "dimension 2"),
+    (["signal", "--init", "1,2", "--terms", "50000", "--coarse-step", "0"], None, "got 0.0"),
+    (_COLUMNS + ["--step", "0"], None, "step"),
+    (_COLUMNS + ["--max-period", "0"], None, "max_period"),
+    (_COLUMNS + ["--min-evidence", "2"], None, "min_evidence"),
+    (["columns", "--init", "(1,0,0),(0,1,0)", "--box", "60,60,60"], None, "dimension 2"),
+    (["verify", "theorem1", "--init", "(1,0,0),(0,1,0)", "--box", "60,60,60"], None,
+     "dimension 2"),
+    (["generate", "--config", "run.json"],
+     {"initials": [[1, 0], [0, 1]], "bound": {"level": True}}, "'bound.level'"),
+    (["generate", "--config", "run.json"],
+     {"initials": [[True, 0], [0, 1]], "bound": {"box": [5, 5]}}, "'initials'"),
+    (["generate", "--config", "run.json"],
+     {"initials": [[1, 3], [3, 4]], "modulus": True}, "'modulus'"),
+])
+def test_refused_values_exit_2_before_any_work(
+        monkeypatch, tmp_path, capsys, argv, doc, named):
+    _fail_on_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+    assert named in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--init", "(1,0),(0,1)", "--terms", "5"],
+     "--terms needs one-dimensional initials, not dimension 2"),
+    (["--init", "(1,0),(0,1)", "--box", "3,3", "--size", "weighted"],
+     "--size weighted requires --weights"),
+    (["--init", "(1,0),(0,1)"], "one of --box or --level is required"),
+])
+def test_generate_refusals_raise_value_error(argv, message):
+    args = cli.build_parser().parse_args(["generate"] + argv)
+    with pytest.raises(ValueError) as info:
+        args.func(args)
+    assert str(info.value) == message
+
+
 # One valid command line per mode of each subcommand: the flags a mode reads
 # depend on the others (a --terms sequence has no bound, --weights needs
 # --size weighted, only a 3-D SVG has a projection, ...).

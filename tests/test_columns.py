@@ -344,6 +344,13 @@ def test_columns_report_rejects_step_below_one(step):
         columns_report(s, step=step)
 
 
+def test_columns_report_rejects_a_level_bounded_set():
+    s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.level(5))
+    with pytest.raises(RangeExceedsBound) as info:
+        columns_report(s)
+    assert str(info.value) == "column reports need a box-bounded planar set"
+
+
 # ---------------------------------------------------------------------------
 # whole-grid period detection against a per-column scan
 

@@ -60,6 +60,24 @@ def test_validate_config_rejects_negatives_and_empty():
         validate_config([(1, 0, 0)], 2)
 
 
+_PLANE = validate_config([(1, 0), (0, 1)], 2)
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: Bound.box([3, -1]), ValueError, "box limits must be nonnegative integers"),
+    (lambda: Bound.level(-1), ValueError, "level cap must be nonnegative"),
+    (lambda: validate_config([(1,)], 0), DimensionMismatch, "dimension must be >= 1, got 0"),
+    (lambda: generate(_PLANE, Bound.box((3, 3, 3))), DimensionMismatch,
+     "box has 3 limits for dimension 2"),
+    (lambda: generate(_PLANE, Bound.box((3, 3)), SizeFunction.weighted_sum((1, 2, 3))),
+     DimensionMismatch, "3 weights for dimension 2"),
+])
+def test_bound_config_and_weight_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # generation: pinned membership examples
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulamset.cyclic import CyclicPoint, finiteness_certificate, generate_cyclic
-from ulamset.errors import BoundTooSmall, InconclusiveBound, InvalidInitials
+from ulamset.errors import BoundTooSmall, DuplicateVector, InconclusiveBound, InvalidInitials
 from ulamset.onedim import ulam_sequence
 
 # Plotted points of the mod-6 set from {(1,3), (3,4)} up to x = 20
@@ -91,6 +91,16 @@ def test_validation():
 def test_initials_must_be_pairs(bad):
     with pytest.raises(InvalidInitials, match="not an \\(x, residue\\) pair"):
         generate_cyclic([(1, 0), bad], 3, 10)
+
+
+@pytest.mark.parametrize("initials,exc,message", [
+    ([(1, 0), (1, 0)], DuplicateVector, "initial (1, 0) appears twice"),
+    ([], InvalidInitials, "at least one initial element is required"),
+])
+def test_duplicate_or_missing_initials_are_refused(initials, exc, message):
+    with pytest.raises(exc) as info:
+        generate_cyclic(initials, 3, 10)
+    assert str(info.value) == message
 
 
 def test_single_initial_certified_finite():

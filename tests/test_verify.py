@@ -212,6 +212,20 @@ def test_axes_2_3_extra_membership():
     assert not oracle_membership(oid, (5, 5))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: get_oracle("case1", 4, 3),
+     "parameters (4,3) classify as 'extra-vector-shifted', not 'extra-vector-even-even'"),
+    (lambda: oracle_membership("theorem1", (1, 2, 3)),
+     "point (1, 2, 3) has wrong arity for two-generators"),
+    (lambda: oracle_membership("theorem1", (-1, 2)), "point (-1, 2) has negative coordinates"),
+    (lambda: extra_vector_oracle(0, 3), "extra vector (0,3) must be positive"),
+])
+def test_oracle_refusals(call, message):
+    with pytest.raises(BadParameters) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_unknown_oracle_and_bad_parameters():
     with pytest.raises(UnknownOracle):
         get_oracle("nope")
