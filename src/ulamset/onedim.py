@@ -23,14 +23,29 @@ smallest members of J.  ``counts[v]`` holds the number of member pairs
 an untracked member of J adds its sums with the tracked members;
 admitting an outlier adds its sums with all members.
 
-Candidates.  Values are decided in increasing order.  A value in J has no
-representation by two members of J, so its count is its number of
-representations, and it is a term iff that is 1.  A value outside J is
-rejected when its count is at least 2; otherwise the pairs of untracked
-members of J that sum to it are counted from scratch, stopping as soon as
-the total reaches two.  Tracking the smallest members of J as well as the
-outliers makes that count rare: the counts already hold most pairs that
-reject a value outside J.
+Candidates.  Values are decided in increasing order, in windows [lo, end)
+of at most ``_WINDOW`` values.  A window reads its counts once, at its start;
+counts only rise, so its candidates are the values whose count is then at
+most 1.  A value in J has no representation by two members of J, so its
+count is its number of representations, and it is a term iff that is 1.
+A value outside J is rejected when its count is at least 2; otherwise the
+pairs of untracked members of J that sum to it are counted from scratch,
+stopping as soon as the total reaches two.  Tracking the smallest members
+of J as well as the outliers makes that count rare: the counts already
+hold most pairs that reject a value outside J.
+
+Inside a window, an admission x adds 1 at x + a < end for every partner a
+it is counted with (the tracked members if x is in J, all members if it
+is an outlier); since x >= lo, only the partners below ``_WINDOW`` can
+land there.  Those additions go to a tally of the window, one bit field
+per value.  The scatter of a member of J into ``counts`` waits for the
+end of the window, or for the next outlier admission, whose own scatter
+over all members then counts each pair once, under the tracked set of its
+later summand.  The count read for a value v is thus ``counts`` at the
+start of the window plus every pair whose later summand was admitted in
+the window and whose sum is v: exactly the count of a value-by-value
+scan.  Pairs that land at or beyond end are in ``counts`` before the next
+window reads it.
 
 Frequency.  Until the member count reaches ``_FIRST_ESTIMATE``, j = 0:
 no value is in J, every member is an outlier, and the counts are the full
@@ -41,7 +56,7 @@ members are outliers, the signal is too weak to pay for the pull counts;
 j goes back to 0 until the next estimate.  Every step above is exact for
 any j, so the frequency affects the speed only, never the output.  For
 (1, 2) about 100 of the first 5e4 members are outliers, and 5e4 terms
-come at about 85 000 terms per second (``onedim.terms_per_s`` of the
+come at about 114 000 terms per second (``onedim.terms_per_s`` of the
 benchmark's seq1d workload, on a 2-vCPU Xeon).
 
 Initials with a common factor g give g times the sequence of the initials
@@ -71,6 +86,7 @@ _MASK = np.uint64(_M - 1)
 _FIRST_ESTIMATE = 2000  # member count of the first frequency estimate
 _FIT_ROUNDS = 8  # least-squares rounds; each one re-selects the residues in J
 _BLOCK = 1 << 14  # values per block of classes
+_WINDOW = 128  # values per window of counts read at once
 _TRACKED_J = 64  # smallest members of J whose pairs are counted like outliers
 _PULL_HEAD = 256  # members of J tried before a full pull count
 _MAX_OUTLIER_SHARE = 0.05  # above it, pull counts cost more than full counts
@@ -142,16 +158,29 @@ def _pull_count(v: int, need: int, in_j: np.ndarray, j_members: np.ndarray) -> i
     return found + int(np.count_nonzero(in_j[v - rest[2 * rest < v]]))
 
 
-def _candidate_masks(cls: np.ndarray, nj: int) -> tuple[np.ndarray, np.ndarray]:
-    """uint32 (flip, cap) with (count ^ flip) <= cap iff a value is a candidate.
+def _window_partners(values: np.ndarray, width: int) -> int:
+    """The values a below ``_WINDOW``, as 1 in field a of ``width`` bits of
+    one integer: the only partners whose sums with a new term land in the
+    window it was admitted in.  Shifted by x - lo fields, it is the tally
+    of the pairs of x."""
+    return sum(1 << (width * a) for a in values[values < _WINDOW].tolist())
 
-    A value in J, or any value when the counts are complete (nj == 0), is a
-    candidate iff its count is 1: flip = 1, cap = 0, and c ^ 1 <= 0 iff
-    c == 1.  Any other value is one iff its count is at most 1, before its
-    pull count: flip = 0, cap = 1, and c ^ 0 <= 1 iff c <= 1.
-    """
-    flip = cls.astype(np.uint32) if nj else np.ones(cls.size, dtype=np.uint32)
-    return flip, flip ^ 1
+
+def _candidates(counts: np.ndarray, lo: int, end: int, cls: np.ndarray) -> zip:
+    """(value, count, in J) for the values of [lo, end) with count <= 1, as
+    Python objects: counts only rise, so no other value of the window can
+    be a term.  ``cls`` holds the classes of [lo, end).  No view of
+    ``counts`` outlives the call, so a rebuild can free it."""
+    window = counts[lo:end]
+    at = np.flatnonzero(window <= 1)
+    return zip((at + lo).tolist(), window[at].tolist(), cls[at].tolist())
+
+
+def _scatter(counts: np.ndarray, batch: list[int], tracked: np.ndarray) -> None:
+    """Count the pairs of each member of J in ``batch`` with the tracked
+    members; sums of different members may coincide, hence ``np.add.at``."""
+    sums = (np.array(batch, dtype=np.int64)[:, None] + tracked).ravel()
+    np.add.at(counts, sums, np.uint32(1))  # with a Python 1 it takes about 30x as long
 
 
 def ulam_sequence(initials, n_terms: int) -> Sequence1D:
@@ -201,6 +230,13 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
     pending = list(inits)  # initials not yet merged into the output
     pi = 0
     lo = 1  # next undecided value
+    # bits per value of a window tally: fewer than 2**width admissions add
+    # to one field, so no field carries into the next
+    width = _WINDOW.bit_length()
+    field = (1 << width) - 1
+    # members below _WINDOW, all of them and the tracked ones
+    small = _window_partners(members[:m], width)
+    small_tracked = _window_partners(tracked[:nt], width)
 
     while len(out) < n_terms:
         if pi < k and pending[pi] == lo:
@@ -209,57 +245,60 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
             pi += 1
             lo += 1
             continue
-        # One block [lo, hi) of values with their classes.  The next term
+        # One block [start, hi) of values with their classes.  The next term
         # is at most the sum of the two largest members, which is below the
         # array size.
+        start = lo
         hi = min(lo + _BLOCK, size, pending[pi] if pi < k else size)
         cls = _in_class(_residues(np.arange(lo, hi, dtype=np.int64), j))
-        flip, cap = _candidate_masks(cls, nj)
 
-        scan = lo
-        chunk = 64
-        while scan < hi:
-            end = min(scan + chunk, hi)
-            o = scan - lo
-            ok = (counts[scan:end] ^ flip[o:o + end - scan]) <= cap[o:o + end - scan]
-            i = int(ok.argmax())
-            if not ok[i]:
-                scan = end
-                chunk *= 4
-                continue
-            x = scan + i
-            if flip[o + i] == 0:  # outside J, count <= 1: pull the rest
-                have = int(counts[x])
-                if have + _pull_count(x, 2 - have, in_j, j_members[:nj]) != 1:
-                    scan = x + 1
+        while lo < hi and m < next_estimate and len(out) < n_terms:
+            end = min(lo + _WINDOW, hi)  # one window [lo, end)
+            added = 0  # pairs of this window's admissions, a field per value
+            batch = []  # members of J admitted in it, not yet in counts
+            for x, c, in_cls in _candidates(counts, lo, end, cls[lo - start:end - start]):
+                c += added >> (width * (x - lo)) & field
+                if in_cls or nj == 0:
+                    if c != 1:
+                        continue
+                elif c > 1 or c + _pull_count(x, 2 - c, in_j, j_members[:nj]) != 1:
                     continue
 
-            out.append(x)
-            if x > top:
-                top = x
-                if 2 * top >= size:
-                    grow = _GROWTH * (2 * top + 1) - size
-                    counts = np.concatenate((counts, np.zeros(grow, dtype=np.uint32)))
-                    in_j = np.concatenate((in_j, np.zeros(grow, dtype=bool)))
-                    size = counts.size
-            if cls[x - lo]:
-                counts[tracked[:nt] + x] += 1
-                in_j[x] = True
-                j_members[nj] = x
-                nj += 1
-                if nj == 1:  # the counts are no longer complete
-                    flip, cap = _candidate_masks(cls, nj)
-            else:
-                counts[members[:m] + x] += 1  # sums are distinct for a fixed new term
-                tracked[nt] = x
-                nt += 1
-            members[m] = x
-            m += 1
-            scan = x + 1
-            chunk = 64
-            if m >= next_estimate or len(out) == n_terms:
-                break
-        lo = scan
+                out.append(x)
+                if x > top:
+                    top = x
+                    if 2 * top >= size:
+                        grow = _GROWTH * (2 * top + 1) - size
+                        counts = np.concatenate((counts, np.zeros(grow, dtype=np.uint32)))
+                        in_j = np.concatenate((in_j, np.zeros(grow, dtype=bool)))
+                        size = counts.size
+                if in_cls:
+                    batch.append(x)
+                    in_j[x] = True
+                    j_members[nj] = x
+                    nj += 1
+                    partners = small_tracked
+                else:
+                    if batch:  # with tracked[:nt] before x joins it
+                        _scatter(counts, batch, tracked[:nt])
+                        batch = []
+                    counts[members[:m] + x] += 1  # sums are distinct for a fixed new term
+                    tracked[nt] = x
+                    nt += 1
+                    partners = small
+                added += partners << (width * (x - lo))
+                members[m] = x
+                m += 1
+                if x < _WINDOW:
+                    small |= 1 << (width * x)
+                    if not in_cls:
+                        small_tracked |= 1 << (width * x)
+                if m >= next_estimate or len(out) == n_terms:
+                    end = x + 1
+                    break
+            if batch:
+                _scatter(counts, batch, tracked[:nt])
+            lo = end
 
         if m >= next_estimate and len(out) < n_terms:
             next_estimate = 2 * m
@@ -277,6 +316,7 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
             now_tracked = np.sort(np.concatenate((mem[~cls_m], in_class[:_TRACKED_J])))
             nt = now_tracked.size
             tracked[:nt] = now_tracked
+            small_tracked = _window_partners(now_tracked, width)
             untracked = in_class[_TRACKED_J:]
             nj = untracked.size
             j_members[:nj] = untracked
@@ -303,9 +343,12 @@ def fibonacci_bound_check(seq: Sequence1D) -> bool:
     Indexing is 1-based with F_1 = F_2 = 1; the bound holds for the
     sequence seeded by (1, 2).
     """
+    largest = max(seq.terms, default=0)
     a, b = 1, 1  # F_1, F_2; for the n-th term, b holds F_{n+1}
     for t in seq.terms:
         if t > b:
             return False
+        if b > largest:
+            return True  # every later term is at most largest < F_{n+1}
         a, b = b, a + b
     return True

@@ -422,14 +422,17 @@ def test_cyclic_cli_rejects_initials_that_are_not_pairs(capsys):
     assert "not an (x, residue) pair" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["columns", "--init", "", "--box", "5,5"],
-    ["generate", "--init", ",", "--box", "5,5"],
-    ["signal", "--set-init", "", "--box", "5,5"],
-    ["verify", "theorem1", "--init", "", "--box", "5,5"],
-])
-def test_empty_point_list_exits_2(capsys, argv):
-    assert "--init" in _usage_error(capsys, argv)
+@pytest.mark.parametrize("argv, flag", [
+    (["columns", "--init", "", "--box", "5,5"], "--init"),
+    (["generate", "--init", ",", "--box", "5,5"], "--init"),
+    (["signal", "--set-init", "", "--box", "5,5"], "--set-init"),
+    (["verify", "theorem1", "--init", "", "--box", "5,5"], "--init"),
+], ids=[f"argv{i}" for i in range(4)])  # keeps the test ids argv0..argv3
+def test_empty_point_list_exits_2(capsys, argv, flag):
+    # the usage line lists every flag; the error line must name the one refused
+    err = _usage_error(capsys, argv)
+    (line,) = [ln for ln in err.splitlines() if "error: " in ln]
+    assert f"error: argument {flag}: " in line
 
 
 def test_signal_cli_rejects_alpha_outside_float_range(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -95,6 +96,31 @@ def test_fibonacci_bound_small():
     assert ulam_sequence((1, 2), 5).terms[4] == 6
 
 
+def _fibonacci_bound_every_term(terms) -> bool:
+    """a_n <= F_(n+1) tested at every n, with F_1 = F_2 = 1."""
+    a, b = 1, 1
+    for t in terms:
+        if t > b:
+            return False
+        a, b = b, a + b
+    return True
+
+
+def test_fibonacci_bound_same_answer_as_testing_every_term():
+    holds = ulam_sequence((1, 2), 3000)
+    fails = ulam_sequence((1, 3), 3000)  # a_2 = 3 > F_3 = 2
+    assert fibonacci_bound_check(holds) and _fibonacci_bound_every_term(holds.terms)
+    assert not fibonacci_bound_check(fails) and not _fibonacci_bound_every_term(fails.terms)
+
+
+@given(st.lists(st.integers(1, 3), max_size=40))
+@example([1, 1, 1, 2, 94])  # 1, 2, 3, 4, 6, 100 fails only at its last term
+def test_fibonacci_bound_stops_early_with_the_same_answer(gaps):
+    terms = list(itertools.accumulate([1, *gaps]))  # increasing, often within the bound
+    seq = onedim.Sequence1D((1, 2), tuple(terms))
+    assert fibonacci_bound_check(seq) == _fibonacci_bound_every_term(terms)
+
+
 def test_cross_validation_against_lattice_generator():
     seq = ulam_sequence((1, 2), 200)
     top = seq.terms[-1]
@@ -129,11 +155,28 @@ FULL_COUNT_SHA256 = {
 }
 
 
+# the same for the other inputs of the benchmark's seq1d workload, as computed
+# by the outlier engine when it still scanned for candidates value by value
+SEQ1D_SHA256 = {
+    ((1, 2), 50_000): "1f36a200bafc5bef36c983dcc4ae9e4489901b76da26cb45b2fae937e7640147",
+    ((2, 7), 20_000): "dfb1624e5b6d87c7a2f49b39ded307ae999d4779297cf4cb042413890a0113ba",
+    ((2, 9), 20_000): "7e4a5611b1b080ebafc10a04436e706cf1a0b51cdb90040c4e19d3813e51f3f1",
+    ((2, 11), 20_000): "9dcec490c6d78534e8f2f5530aeaa14b07a95bce26110c8572757294e568ec4a",
+}
+
+
 @pytest.mark.parametrize("initials", list(FULL_COUNT_SHA256))
 def test_matches_full_count_engine_at_20000_terms(initials):
     terms = ulam_sequence(initials, 20_000).terms
     digest = hashlib.sha256(",".join(map(str, terms)).encode()).hexdigest()
     assert digest == FULL_COUNT_SHA256[initials]
+
+
+@pytest.mark.parametrize("initials, n_terms", list(SEQ1D_SHA256))
+def test_matches_the_value_by_value_scan_on_the_seq1d_inputs(initials, n_terms):
+    terms = ulam_sequence(initials, n_terms).terms
+    digest = hashlib.sha256(",".join(map(str, terms)).encode()).hexdigest()
+    assert digest == SEQ1D_SHA256[initials, n_terms]
 
 
 # Estimate the frequency after 16 members instead of 2000 and never fall
@@ -211,6 +254,30 @@ def test_first_untracked_member_of_the_class_inside_a_block(initials, j, first):
     ):
         fast = ulam_sequence(initials, 40).terms
     assert list(fast) == brute_force_sequence(initials, 40)
+
+
+_SPREAD_FREQUENCIES = st.lists(st.just(0) | _TURNS, min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_INITIALS, _SPREAD_FREQUENCIES, st.integers(2, 8), st.sampled_from([0, 2]))
+@example([1, 2, 5], [0, 0, 0], 4, 2)  # the pending initial 5 ends the window [3, 5)
+# at this frequency one window admits 135 and 137, in J, and then the
+# outlier 139: the two wait in the batch until 139 is admitted
+@example([2, 5], [109722824127411] * 3, 8, 2)
+# here a sum of two untracked members of J lands in the window of the later
+@example([5, 11, 30], [0, 193081596755779, 0], 7, 0)
+def test_any_window_gives_the_same_terms(initials, estimates, window, tracked_j):
+    # with no tracked member of J, the members of J below the window are
+    # partners of an outlier and not of a member of J
+    forced = iter(estimates)
+    with mock.patch.multiple(
+        onedim,
+        _estimate=lambda members, j: next(forced),
+        **{**_SMALL_PHASES, "_WINDOW": window, "_TRACKED_J": tracked_j},
+    ):
+        fast = ulam_sequence(initials, 80).terms
+    assert list(fast) == brute_force_sequence(initials, 80)
 
 
 def test_weak_signal_falls_back_to_full_counts():
