@@ -281,17 +281,18 @@ def _generate_reads(args) -> str:
 
 
 def _generate_output(args) -> tuple:
-    """Integer rows, CSV column names (None: x, y, z) and JSON document of the set."""
+    """Integer rows, CSV column names (None: x, y, z) and a function that
+    builds the JSON document of the set, which only ``--format json`` calls."""
     if args.terms is not None:
         seq = ulam_sequence([p[0] for p in args.init], args.terms)
-        return np.array(seq.terms, dtype=np.int64)[:, None], None, {
+        return np.array(seq.terms, dtype=np.int64)[:, None], None, lambda: {
             "initials": seq.initials,
             "count": len(seq.terms),
             "terms": seq.terms,
         }
     if args.cyclic is not None:
         cset = generate_cyclic(args.init, args.cyclic, args.x_bound)
-        return np.array(cset.points, dtype=np.int64).reshape(-1, 2), "xr", {
+        return np.array(cset.points, dtype=np.int64).reshape(-1, 2), "xr", lambda: {
             "modulus": cset.modulus,
             "x_bound": cset.x_bound,
             "initials": cset.initials,
@@ -300,12 +301,12 @@ def _generate_output(args) -> tuple:
         }
     uset = _ulam_set(args, args.init, len(args.init[0]), _sizefn_from_args(args))
     bound = uset.bound
-    return uset.coords, None, {
+    return uset.coords, None, lambda: {
         "config": {"dim": uset.dim, "initials": uset.config.initials},
         "bound": ({"box": bound.limits} if bound.kind == "box"
                   else {"level": int(bound.cap)}),
         "size": uset.sizefn.kind,
-        "count": len(uset.points),
+        "count": len(uset),
         "points": uset.points,
     }
 
@@ -320,7 +321,7 @@ def _cmd_generate(args) -> int:
 
     rows, names, doc = _generate_output(args)
     if args.format == "json":
-        text = _json(doc)
+        text = _json(doc())
     elif args.format == "svg":
         text = scatter_svg(rows.tolist(), rows.shape[1], args.radius, args.projection)
     else:

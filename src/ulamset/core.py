@@ -20,7 +20,6 @@ agree on every input; the test suite checks this on many small instances.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -189,32 +188,67 @@ def validate_config(raw, dim: int) -> InitialConfig:
     return InitialConfig(dim, tuple(pts))
 
 
+class _Derived:
+    """An init field of :class:`UlamSet` that a set built from ``coords``
+    alone derives from that array on first read, then keeps.
+
+    A non-data descriptor: a value the constructor stores in the instance
+    ``__dict__`` hides it.  Class access raises, so the field has no default.
+    """
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name] = self.derive(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class UlamSet:
     """A generated set truncated to a bound.
 
-    ``points`` are sorted by (f-level, lexicographic); ``levels`` holds the
-    f-value of each point.  Membership is O(1) via ``in``.  ``coords`` is
-    ``points`` as a read-only (n, d) int64 array.
+    A set is its ``coords``: the points as a read-only (n, d) int64 array,
+    sorted by (f-level, lexicographic).  ``points`` holds them as tuples,
+    ``levels`` the f-value of each and ``members`` their frozenset, for
+    O(1) membership via ``in``.  The dense engine builds a set from
+    ``coords`` alone (:meth:`_from_coords`), and the other three fields are
+    derived on first read; a set built from points, as by
+    ``dataclasses.replace``, derives ``coords`` from its own points.
     """
 
     config: InitialConfig
     sizefn: SizeFunction
     bound: Bound
-    points: tuple[Point, ...]
-    levels: tuple
-    members: frozenset
+    points: tuple[Point, ...] = _Derived(lambda s: tuple(map(tuple, s.coords.tolist())))
+    # only coordinate-sum sets are built from coords: the level is the row sum
+    levels: tuple = _Derived(lambda s: tuple(s.coords.sum(axis=1).tolist()))
+    members: frozenset = _Derived(lambda s: frozenset(s.points))
+
+    @classmethod
+    def _from_coords(cls, config, bound, coords: np.ndarray) -> "UlamSet":
+        """The coordinate-sum set whose points are the rows of ``coords``, a
+        read-only int64 array sorted by (level, lex)."""
+        s = cls.__new__(cls)
+        s.__dict__.update(config=config, sizefn=SizeFunction.coordinate_sum(),
+                          bound=bound, coords=coords)
+        return s
 
     def __contains__(self, p) -> bool:
         return tuple(p) in self.members
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     def __repr__(self) -> str:
         return (
             f"UlamSet(k={self.config.k}, dim={self.config.dim}, "
-            f"bound={self.bound.kind}, n={len(self.points)})"
+            f"bound={self.bound.kind}, n={len(self)})"
         )
 
     @property
@@ -223,11 +257,7 @@ class UlamSet:
 
     @cached_property
     def coords(self) -> np.ndarray:
-        """``points`` as a read-only (n, d) int64 array, rows in the same order.
-
-        Derived from ``points`` on first use, so a ``dataclasses.replace``
-        copy with new points never reads a stale array.
-        """
+        """The points as a read-only (n, d) int64 array, rows in the same order."""
         a = np.array(self.points, dtype=np.int64).reshape(-1, self.dim)
         a.flags.writeable = False
         return a
@@ -394,11 +424,10 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
         # the member grid has the counts' dtype, so the add never casts
         member = np.zeros(cells, dtype=dtype)
 
-    # flat indices of the members in admission order.  The levels
-    # (nondecreasing) are a list that shares one int object per level, so the
-    # output's levels take no memory per point.
+    # flat indices of the members in admission order; below[L] counts the
+    # members of level < L
     mflats = np.empty(1024, dtype=np.int64)
-    out_levels: list[int] = []
+    below: list[int] = []
     n = 0
     since_clamp = 0
 
@@ -408,6 +437,7 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
         init_by_level.setdefault(sum(v), []).append(fl)
 
     for L in range(lmax + 1):
+        below.append(n)
         flats_l = cells_at(L)
         if L in init_by_level:
             # initials are admitted whatever their count; no later step
@@ -426,11 +456,10 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
         if n + m > mflats.size:
             mflats = np.concatenate([mflats[:n], np.empty(n + m, dtype=np.int64)])
         mflats[n:n + m] = batch
-        out_levels += [L] * m
 
         if cap is not None:
             # members the level's points pair with: level <= cap - L
-            pe_level = bisect_right(out_levels, cap - L)
+            pe_level = below[cap - L + 1] if cap - L < L else n + m
         for fl in batch.tolist():
             if since_clamp == clamp_every:
                 _clamp(counts, twos)
@@ -451,15 +480,12 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
             n += 1
 
     # admission order is (level, lex) order, so no sort is needed
-    coords = []
+    coords = np.empty((n, d), dtype=np.int64)
     rest = mflats[:n]
-    for s in stride_list:
-        c, rest = np.divmod(rest, s)
-        coords.append(c.tolist())
-    pts = tuple(zip(*coords))
-    return UlamSet(
-        config, SizeFunction.coordinate_sum(), bound, pts, tuple(out_levels), frozenset(pts)
-    )
+    for i, s in enumerate(stride_list):
+        coords[:, i], rest = np.divmod(rest, s)
+    coords.flags.writeable = False
+    return UlamSet._from_coords(config, bound, coords)
 
 
 # ---------------------------------------------------------------------------

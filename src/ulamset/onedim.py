@@ -51,13 +51,16 @@ Frequency.  Until the member count reaches ``_FIRST_ESTIMATE``, j = 0:
 no value is in J, every member is an outlier, and the counts are the full
 representation counts.  At that member count, and again each time it
 doubles, j is estimated from the members, and the counts are rebuilt from
-the tracked members alone.  When more than ``_MAX_OUTLIER_SHARE`` of the
-members are outliers, the signal is too weak to pay for the pull counts;
-j goes back to 0 until the next estimate.  Every step above is exact for
-any j, so the frequency affects the speed only, never the output.  For
-(1, 2) about 100 of the first 5e4 members are outliers, and 5e4 terms
-come at about 114 000 terms per second (``onedim.terms_per_s`` of the
-benchmark's seq1d workload, on a 2-vCPU Xeon).
+the tracked members alone, for the sums at or above the next undecided
+value only: values are decided in increasing order, so the scan never
+reads a count below that value again.  When more than
+``_MAX_OUTLIER_SHARE`` of the members are outliers, the signal is too weak
+to pay for the pull counts; j goes back to 0 until the next estimate.
+Every step above is exact for any j, so the frequency affects the speed
+only, never the output.  For (1, 2) about 100 of the first 5e4 members are
+outliers, and 5e4 terms come at about 114 000 terms per second
+(``onedim.terms_per_s`` of the benchmark's seq1d workload, on a 2-vCPU
+Xeon).
 
 Initials with a common factor g give g times the sequence of the initials
 divided by g, which is computed instead.
@@ -322,10 +325,14 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
             j_members[:nj] = untracked
             in_j[:] = False
             in_j[j_members[:nj]] = True
+            # sums >= lo only (see "Frequency" above); both partner arrays
+            # are sorted, so a tracked member's live partners are one slice
             counts = np.zeros(size, dtype=np.uint32)
-            for i, t in enumerate(tracked[:nt].tolist()):
-                counts[j_members[:nj] + t] += 1
-                counts[tracked[i + 1:nt] + t] += 1
+            j_first = np.searchsorted(untracked, lo - now_tracked).tolist()
+            t_first = np.searchsorted(now_tracked, lo - now_tracked).tolist()
+            for i, t in enumerate(now_tracked.tolist()):
+                counts[untracked[j_first[i]:] + t] += 1
+                counts[now_tracked[max(i + 1, t_first[i]):] + t] += 1
 
     return Sequence1D(inits, tuple(out))
 

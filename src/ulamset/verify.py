@@ -324,7 +324,8 @@ def compare_set_to_oracle(uset: UlamSet, oracle, region: Bound,
 
 def diagonal_absent(uset: UlamSet) -> bool:
     """True iff no member has all coordinates equal."""
-    return not any(len(set(p)) == 1 for p in uset.points)
+    c = uset.coords
+    return not (c == c[:, :1]).all(axis=1).any()
 
 
 def interior_members(uset: UlamSet) -> list:
@@ -335,7 +336,8 @@ def interior_members(uset: UlamSet) -> list:
     x_i = 2; interior points have every coordinate >= 1 and none equal
     to 2.
     """
-    return [p for p in uset.points if min(p) >= 1 and 2 not in p]
+    c = uset.coords
+    return list(map(tuple, c[((c >= 1) & (c != 2)).all(axis=1)].tolist()))
 
 
 def angle_ranking(uset: UlamSet, interior_only: bool = False) -> list:

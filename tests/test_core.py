@@ -18,7 +18,7 @@ from ulamset import (
     ulam_sequence,
     validate_config,
 )
-from ulamset import core
+from ulamset import cli, columns, core, verify
 from ulamset.algebra import PrimeProductSize
 from ulamset.core import _generate_dense
 from ulamset.errors import (
@@ -580,3 +580,55 @@ def test_coords_of_a_replaced_set_follow_its_points():
     empty = dataclasses.replace(s, points=(), members=frozenset())
     assert empty.coords.shape == (0, 2)
     assert generate_reference(s.config, s.bound).coords.tolist() == s.coords.tolist()
+    # all three derived fields given: the copy of a set built from coords
+    # alone still reads its own points
+    fresh = generate(s.config, s.bound)
+    lv = tuple(map(sum, pts))
+    u = dataclasses.replace(fresh, points=pts, levels=lv, members=frozenset(pts))
+    assert np.array_equal(u.coords, np.array(pts)) and u.levels == lv
+
+
+def _fully_built(s):
+    """A copy of ``s`` built from its points, as the reference engine builds sets."""
+    return core.UlamSet(s.config, s.sizefn, s.bound, s.points, s.levels, s.members)
+
+
+@pytest.mark.parametrize("raw,bound", [
+    ([(1, 0), (2, 0), (0, 1)], Bound.box((8, 40))),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], Bound.level(9)),
+    ([(2,), (3,)], Bound.box((30,))),
+])
+def test_a_set_built_from_coords_agrees_with_its_fully_built_copy(raw, bound):
+    cfg = validate_config(raw, len(raw[0]))
+    s = generate(cfg, bound)
+    assert repr(s) and len(s)
+    assert not {"points", "levels", "members"} & vars(s).keys()  # nothing derived yet
+    full = _fully_built(generate(cfg, bound))
+    assert (len(s), repr(s)) == (len(full), repr(full))
+    outside = [tuple(c + 1 for c in p) for p in full.points[-3:]] + [(0,) * s.dim]
+    for p in full.points[:5] + tuple(outside):
+        assert (p in s) == (p in full)
+    assert s == full and hash(s) == hash(full)
+    assert s.levels == tuple(map(sum, s.points))
+    assert s == generate_reference(cfg, bound)
+
+
+def _no_derivation(s):
+    raise AssertionError("a derived field of a generated set was read")
+
+
+def test_the_plane_ops_read_only_the_coordinate_array(monkeypatch, capsys):
+    # the ops of the benchmark's plane workload, on smaller boxes
+    for name in ("points", "levels", "members"):
+        monkeypatch.setattr(vars(core.UlamSet)[name], "derive", _no_derivation)
+    for raw, box in (([(1, 0), (2, 0), (0, 1)], (20, 400)), ([(2, 0), (3, 0), (0, 1)], (30, 400))):
+        s = generate(validate_config(raw, 2), Bound.box(box))
+        assert columns.columns_report(s).nonempty_indices()
+        assert cli.set_to_csv(s).count("\n") == len(s) + 1
+    box = Bound.box((60, 60))
+    s = generate(validate_config([(1, 0), (0, 1), (6, 4)], 2), box)
+    assert verify.compare_set_to_oracle(s, "extra-vector", box, 6, 4).ok
+    assert cli.run(["generate", "--init", "(2,0),(3,0),(0,1)", "--box", "30,400"]) == 0
+    assert capsys.readouterr().out.startswith("x,y\n")
+    with pytest.raises(AssertionError, match="derived field"):
+        s.points

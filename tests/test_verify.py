@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulamset import Bound, SizeFunction, generate, validate_config
+from ulamset import Bound, SizeFunction, core, generate, validate_config
 from ulamset.errors import BadParameters, BoundTooSmall, RegionExceedsBound, UnknownOracle
 from ulamset.verify import (
     MismatchReport,
@@ -363,6 +363,29 @@ def test_interior_excludes_characterized_families(unit3d_level30):
     assert all(min(p) >= 1 and 2 not in p for p in interior)
     assert (2, 3, 3) not in interior
     assert (4, 6, 10) in interior
+
+
+@st.composite
+def _point_sets(draw):
+    """A set of 0 to 30 points of dimension 1 to 4 with coordinates 0 to 4,
+    in a random order, built from its points."""
+    dim = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(0, 4)] * dim), max_size=30, unique=True))
+    cfg = validate_config([(1,) * dim], dim)
+    return core.UlamSet(cfg, SizeFunction.coordinate_sum(), Bound.box((4,) * dim),
+                        tuple(pts), tuple(map(sum, pts)), frozenset(pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_sets())
+def test_array_walks_match_the_former_point_walks(s):
+    pts = s.points
+    assert diagonal_absent(s) == (not any(len(set(p)) == 1 for p in pts))
+    interior = [p for p in pts if min(p) >= 1 and 2 not in p]
+    assert interior_members(s) == interior
+    assert [p for p, _ in angle_ranking(s, interior_only=True)] == sorted(
+        interior, key=lambda p: (Fraction(sum(p) ** 2, s.dim * sum(c * c for c in p)), p)
+    )
 
 
 # ---------------------------------------------------------------------------
