@@ -385,7 +385,8 @@ def _cmd_signal(args) -> int:
     if args.set_init is not None:
         # exploratory: scan x-coordinates of members along a fixed row
         uset = _ulam_set(args, args.set_init, 2)
-        xs = sorted(p[0] for p in uset.points if p[1] == args.row and p[0] > 0)
+        c = uset.coords
+        xs = sorted(c[(c[:, 1] == args.row) & (c[:, 0] > 0), 0].tolist())
         if len(xs) < 2:
             print("row has too few members to scan", file=sys.stderr)
             return 1

@@ -30,6 +30,7 @@ from ulamset.errors import (
     NegativeCoordinate,
     ZeroVector,
 )
+from ulamset.onedim import Sequence1D
 
 
 # ---------------------------------------------------------------------------
@@ -632,3 +633,21 @@ def test_the_plane_ops_read_only_the_coordinate_array(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("x,y\n")
     with pytest.raises(AssertionError, match="derived field"):
         s.points
+
+
+def test_signal_row_mode_reads_only_the_coordinate_array(monkeypatch):
+    s = generate(validate_config([(2, 0), (3, 0), (0, 1)], 2), Bound.box((30, 400)))
+    walks = [tuple(sorted(p[0] for p in s.points if p[1] == y and p[0] > 0)) for y in (0, 1, 7)]
+    for name in ("points", "levels", "members"):
+        monkeypatch.setattr(vars(core.UlamSet)[name], "derive", _no_derivation)
+    scanned = []
+
+    def record(initials, terms):
+        scanned.append(terms)
+        return Sequence1D(initials, terms)
+
+    monkeypatch.setattr(cli, "Sequence1D", record)
+    for y in (0, 1, 7):
+        assert cli.run(["signal", "--set-init", "(2,0),(3,0),(0,1)", "--box", "30,400",
+                        "--row", str(y), "--alpha", "2.5"]) == 0
+    assert scanned == walks

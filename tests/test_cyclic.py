@@ -1,11 +1,22 @@
+import dataclasses
+import hashlib
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ulamset import cli
+from ulamset.core import _DENSE_CELL_LIMIT
 from ulamset.cyclic import CyclicPoint, finiteness_certificate, generate_cyclic
-from ulamset.errors import BoundTooSmall, DuplicateVector, InconclusiveBound, InvalidInitials
+from ulamset.errors import (
+    BoundTooSmall,
+    DuplicateVector,
+    GridTooLarge,
+    InconclusiveBound,
+    InvalidInitials,
+)
 from ulamset.onedim import ulam_sequence
 
 # Plotted points of the mod-6 set from {(1,3), (3,4)} up to x = 20
@@ -172,3 +183,101 @@ def test_modulus_one_is_the_sequence(initials):
     cset = generate_cyclic([(a, 0) for a in initials], 1, x)
     terms = ulam_sequence(initials, x + 1).terms  # x + 1 distinct terms pass x
     assert [p[0] for p in cset.points] == [t for t in terms if t <= x]
+
+
+def pairwise_certificate(points, modulus, x_bound):
+    """The certificate by its definition, pair by pair: None when x_bound is
+    below twice the largest x, else whether no pairwise sum of distinct
+    points is a non-member with exactly one representation."""
+    if 2 * max(x for x, _ in points) > x_bound:
+        return None
+    reps = {}
+    for u, v in combinations(points, 2):
+        s = (u[0] + v[0], (u[1] + v[1]) % modulus)
+        reps[s] = reps.get(s, 0) + 1
+    members = set(points)
+    return all(c != 1 or s in members for s, c in reps.items())
+
+
+@st.composite
+def _cyclic_inputs(draw):
+    """A modulus 1-12, 1-4 distinct initials with x <= 6 and an x_bound <= 30."""
+    n = draw(st.integers(1, 12))
+    initials = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, n - 1)),
+                             min_size=1, max_size=4, unique=True))
+    return initials, n, draw(st.integers(max(x for x, _ in initials), 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cyclic_inputs())
+def test_generate_matches_the_brute_force_oracle_on_random_inputs(case):
+    initials, n, x_bound = case
+    s = generate_cyclic(initials, n, x_bound)
+    assert s.points == tuple(sorted(brute_force_cyclic(initials, n, x_bound)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cyclic_inputs(), st.integers(0, 10**6))
+def test_certificate_matches_the_pairwise_definition(case, drop):
+    initials, n, x_bound = case
+    s = generate_cyclic(initials, n, x_bound)
+    sets = [s]
+    if len(s) > 1:  # the same set with one point removed
+        i = drop % len(s)
+        pts = s.points[:i] + s.points[i + 1:]
+        sets.append(dataclasses.replace(s, points=pts, members=frozenset(pts)))
+    # and each with the least bound that decides it
+    sets += [dataclasses.replace(t, x_bound=2 * t.max_x) for t in sets]
+    for t in sets:
+        expected = pairwise_certificate(t.points, n, t.x_bound)
+        if expected is None:
+            with pytest.raises(InconclusiveBound):
+                finiteness_certificate(t)
+        else:
+            assert finiteness_certificate(t) == expected
+
+
+# sha256 of the standard output of two cyclic command lines (the README
+# figure line, written to standard output), recorded with the former
+# dict-based engine
+CYCLIC_OUTPUT_SHA256 = [
+    (["--cyclic", "6", "--init", "(1,3),(3,4)", "--x-bound", "92", "--format", "svg"], 5295,
+     "8b7ef49227c90d6e807d8facbe4da9e4fbcffbfd3bc64416cff26c2b335fed70"),
+    (["--cyclic", "7", "--init", "(1,0),(2,1)", "--x-bound", "4000"], 21539,
+     "031a1e1b1f8ee1d1706517ef9e9860ca0fa1cc1e043d6417014dc921cca19969"),
+]
+
+
+@pytest.mark.parametrize("argv,size,digest", CYCLIC_OUTPUT_SHA256)
+def test_cyclic_outputs_match_frozen_checksums(capsys, argv, size, digest):
+    assert cli.run(["generate"] + argv) == 0
+    out = capsys.readouterr().out
+    assert len(out) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("a grid was allocated")
+
+
+def test_a_grid_over_the_cell_limit_fails_before_allocating(monkeypatch, capsys):
+    for name in ("zeros", "zeros_like", "full", "empty"):
+        monkeypatch.setattr(np, name, _no_allocation)
+    with pytest.raises(GridTooLarge, match="over the limit"):
+        generate_cyclic([(1, 0), (2, 1)], 7, 10**9)
+    with pytest.raises(GridTooLarge):  # one cell over the limit
+        generate_cyclic([(1, 0)], 1, _DENSE_CELL_LIMIT)
+    argv = ["generate", "--cyclic", "7", "--init", "(1,0),(2,1)", "--x-bound", "1000000000"]
+    assert cli.run(argv) == 2
+    assert "over the limit" in capsys.readouterr().err
+
+
+def test_the_fold_does_not_wrap():
+    # initials that fill rows 1..69 mod 11 are 3 x 253 admissions.  The last
+    # clamp keeps 2 in both halves of each cell (70, r), r < 10, and each of
+    # the 253 admissions after it adds one representation to one half: 257,
+    # which wraps to 1 in uint8.  Every residue at x = 70 has many.
+    rows = [(x, r) for x in range(1, 70) for r in range(11)]
+    s = generate_cyclic(rows, 11, 140)
+    assert s.points == tuple(rows)
+    assert finiteness_certificate(s)

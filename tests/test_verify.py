@@ -388,6 +388,20 @@ def test_array_walks_match_the_former_point_walks(s):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(_point_sets())
+def test_angle_ranking_matches_the_former_two_key_walk(s):
+    pts = tuple(p for p in s.points if any(p))  # the angle needs a nonzero point
+    s = dataclasses.replace(s, points=pts, levels=tuple(map(sum, pts)), members=frozenset(pts))
+
+    def key(p):
+        return Fraction(sum(p) ** 2, s.dim * sum(c * c for c in p))
+
+    former = [(p, math.acos(min(1.0, math.sqrt(float(key(p))))))
+              for p in sorted(pts, key=lambda p: (key(p), p))]
+    assert angle_ranking(s) == former
+
+
 # ---------------------------------------------------------------------------
 # the array predicates and the grid diff against the references
 
