@@ -188,62 +188,48 @@ def validate_config(raw, dim: int) -> InitialConfig:
     return InitialConfig(dim, tuple(pts))
 
 
-class _Derived:
-    """An init field of :class:`UlamSet` that a set built from ``coords``
-    alone derives from that array on first read, then keeps.
-
-    A non-data descriptor: a value the constructor stores in the instance
-    ``__dict__`` hides it.  Class access raises, so the field has no default.
-    """
-
-    def __init__(self, derive):
-        self.derive = derive
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)
-        value = obj.__dict__[self.name] = self.derive(obj)
-        return value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UlamSet:
     """A generated set truncated to a bound.
 
     A set is its ``coords``: the points as a read-only (n, d) int64 array,
-    sorted by (f-level, lexicographic).  ``points`` holds them as tuples,
-    ``levels`` the f-value of each and ``members`` their frozenset, for
-    O(1) membership via ``in``.  The dense engine builds a set from
-    ``coords`` alone (:meth:`_from_coords`), and the other three fields are
-    derived on first read; a set built from points, as by
-    ``dataclasses.replace``, derives ``coords`` from its own points.
+    sorted by (f-level, lexicographic).  Any sequence of points is turned
+    into such an array (an int64 array is viewed, not copied), and one of
+    the wrong width raises :class:`DimensionMismatch`.  ``points`` (the rows
+    as tuples), ``levels`` (the f-value of each) and ``members`` (their
+    frozenset, for O(1) membership via ``in``) are derived from ``coords``
+    on first read.  Two sets are equal when their config, size function,
+    bound and coordinate bytes are.
     """
 
     config: InitialConfig
     sizefn: SizeFunction
     bound: Bound
-    points: tuple[Point, ...] = _Derived(lambda s: tuple(map(tuple, s.coords.tolist())))
-    # only coordinate-sum sets are built from coords: the level is the row sum
-    levels: tuple = _Derived(lambda s: tuple(s.coords.sum(axis=1).tolist()))
-    members: frozenset = _Derived(lambda s: frozenset(s.points))
+    coords: np.ndarray
 
-    @classmethod
-    def _from_coords(cls, config, bound, coords: np.ndarray) -> "UlamSet":
-        """The coordinate-sum set whose points are the rows of ``coords``, a
-        read-only int64 array sorted by (level, lex)."""
-        s = cls.__new__(cls)
-        s.__dict__.update(config=config, sizefn=SizeFunction.coordinate_sum(),
-                          bound=bound, coords=coords)
-        return s
+    def __post_init__(self):
+        a = np.asarray(self.coords, dtype=np.int64)
+        if a.shape == (0,):
+            a = a.reshape(0, self.dim)
+        if a.ndim != 2 or a.shape[1] != self.dim:
+            raise DimensionMismatch(f"points of shape {a.shape} for dimension {self.dim}")
+        a = a.view()
+        a.flags.writeable = False
+        object.__setattr__(self, "coords", a)
 
     def __contains__(self, p) -> bool:
         return tuple(p) in self.members
 
     def __len__(self) -> int:
         return len(self.coords)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UlamSet):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return (
@@ -255,19 +241,21 @@ class UlamSet:
     def dim(self) -> int:
         return self.config.dim
 
+    @property
+    def _key(self) -> tuple:
+        return (self.config, self.sizefn, self.bound, self.coords.tobytes())
+
     @cached_property
-    def coords(self) -> np.ndarray:
-        """The points as a read-only (n, d) int64 array, rows in the same order."""
-        a = np.array(self.points, dtype=np.int64).reshape(-1, self.dim)
-        a.flags.writeable = False
-        return a
+    def points(self) -> tuple[Point, ...]:
+        return tuple(map(tuple, self.coords.tolist()))
 
+    @cached_property
+    def levels(self) -> tuple:
+        return tuple(map(self.sizefn.value, self.points))
 
-def _assemble(config, sizefn, bound, points, levels) -> UlamSet:
-    order = sorted(range(len(points)), key=lambda i: (levels[i], points[i]))
-    pts = tuple(points[i] for i in order)
-    lvs = tuple(levels[i] for i in order)
-    return UlamSet(config, sizefn, bound, pts, lvs, frozenset(pts))
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(self.points)
 
 
 def _check_initials_in_bound(config, bound, sizefn) -> None:
@@ -307,10 +295,12 @@ def generate(config: InitialConfig, bound: Bound, sizefn: SizeFunction | None = 
     box = bound
     if bound.kind == "level":
         box = Bound.box([_axis_limit(sizefn, config.dim, i, bound.cap) for i in range(config.dim)])
-    pts = _generate_dense(config, box).points
-    fvals = [sizefn.value(p) for p in pts]
-    kept = [i for i, f in enumerate(fvals) if bound.contains(pts[i], f)]
-    return _assemble(config, sizefn, bound, [pts[i] for i in kept], [fvals[i] for i in kept])
+    coords = _generate_dense(config, box).coords
+    rows = coords.tolist()
+    fvals = [sizefn.value(p) for p in rows]
+    kept = [i for i, f in enumerate(fvals) if bound.contains(rows[i], f)]
+    kept.sort(key=lambda i: (fvals[i], rows[i]))
+    return UlamSet(config, sizefn, bound, coords[kept])
 
 
 def _axis_limit(sizefn, dim: int, axis: int, cap) -> int:
@@ -484,8 +474,7 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
     rest = mflats[:n]
     for i, s in enumerate(stride_list):
         coords[:, i], rest = np.divmod(rest, s)
-    coords.flags.writeable = False
-    return UlamSet._from_coords(config, bound, coords)
+    return UlamSet(config, SizeFunction.coordinate_sum(), bound, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +526,7 @@ def generate_reference(config: InitialConfig, bound: Bound, sizefn: SizeFunction
             break
         current.update(batch)
 
-    pts = sorted(current, key=lambda p: (fval(p), p))
-    return _assemble(config, sizefn, bound, pts, [fval(p) for p in pts])
+    return UlamSet(config, sizefn, bound, sorted(current, key=lambda p: (fval(p), p)))
 
 
 def representation_count(p, members) -> int:

@@ -16,6 +16,7 @@ that check from scratch, by growing the set again from all its points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,10 @@ class CyclicUlamSet:
     initials: tuple[CyclicPoint, ...]
     x_bound: int
     points: tuple[CyclicPoint, ...]
-    members: frozenset
+
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(self.points)
 
     def __contains__(self, p) -> bool:
         return tuple(p) in self.members
@@ -122,7 +126,7 @@ def generate_cyclic(initials, modulus: int, x_bound: int) -> CyclicUlamSet:
             top = max(top, x)
         x += 1
     pts = tuple(divmod(f, width) for f in flats)
-    return CyclicUlamSet(modulus, inits, x_bound, pts, frozenset(pts))
+    return CyclicUlamSet(modulus, inits, x_bound, pts)
 
 
 def finiteness_certificate(cset: CyclicUlamSet) -> bool:

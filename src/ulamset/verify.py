@@ -348,6 +348,6 @@ def angle_ranking(uset: UlamSet, interior_only: bool = False) -> list:
     decided without floating point; the returned angle is a float in
     radians for reporting only.
     """
-    pts = interior_members(uset) if interior_only else uset.points
+    pts = interior_members(uset) if interior_only else map(tuple, uset.coords.tolist())
     ranked = sorted((Fraction(sum(p) ** 2, uset.dim * sum(c * c for c in p)), p) for p in pts)
     return [(p, math.acos(min(1.0, math.sqrt(float(c2))))) for c2, p in ranked]

@@ -293,7 +293,7 @@ def test_svg_empty_and_3d_projection(tmp_path):
     import dataclasses
 
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((5, 5)))
-    empty = dataclasses.replace(s, points=(), members=frozenset())
+    empty = dataclasses.replace(s, coords=())
     text = scatter_svg(empty.points, empty.dim)
     assert "<circle" not in text and "<line" in text
 
@@ -684,9 +684,9 @@ def test_every_flag_a_mode_does_not_read_exits_2_before_any_work(
 def test_csv_of_a_replaced_set_uses_its_points():
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((4, 4)))
     pts = ((3, 1), (0, 2))
-    text = set_to_csv(dataclasses.replace(s, points=pts, members=frozenset(pts)))
+    text = set_to_csv(dataclasses.replace(s, coords=pts))
     assert text == "x,y\n3,1\n0,2\n"
-    empty = dataclasses.replace(s, points=(), members=frozenset())
+    empty = dataclasses.replace(s, coords=())
     assert set_to_csv(empty) == "x,y\n"
     s4 = generate(validate_config([(1, 0, 0, 0), (0, 0, 0, 1)], 4), Bound.box((2, 0, 0, 2)))
     assert set_to_csv(s4).splitlines()[:2] == ["c0,c1,c2,c3", "0,0,0,1"]

@@ -429,7 +429,7 @@ def _grid_set(rows):
     pts = tuple((x, y) for x, row in enumerate(rows) for y, bit in enumerate(row) if bit)
     return dataclasses.replace(
         _BASE, bound=Bound.box((len(rows) - 1, len(rows[0]) - 1)),
-        points=pts, levels=tuple(map(sum, pts)), members=frozenset(pts),
+        coords=pts,
     )
 
 

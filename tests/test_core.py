@@ -573,25 +573,79 @@ def test_coords_hold_the_points_in_order(raw, bound, sizefn):
 
 
 def test_coords_of_a_replaced_set_follow_its_points():
+    assert [f.name for f in dataclasses.fields(core.UlamSet)] == ["config", "sizefn", "bound", "coords"]
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((6, 6)))
-    assert len(s.coords) == len(s)  # cached before the copy is made
-    pts = s.points[:3] + ((5, 5),)
-    t = dataclasses.replace(s, points=pts, members=frozenset(pts))
+    assert len(s.points) == len(s.members) == len(s)  # cached before the copy is made
+    pts = s.points[:3] + ((2, 2),)
+    t = dataclasses.replace(s, coords=pts)
     assert t.coords.tolist() == [list(p) for p in pts]
-    empty = dataclasses.replace(s, points=(), members=frozenset())
-    assert empty.coords.shape == (0, 2)
+    assert (len(t), t.points, t.levels) == (4, pts, tuple(map(sum, pts)))
+    assert t.members == frozenset(pts) and (2, 2) in t and s.points[3] not in t
+    empty = dataclasses.replace(s, coords=())
+    assert empty.coords.shape == (0, 2) and empty.points == () and not empty.members
     assert generate_reference(s.config, s.bound).coords.tolist() == s.coords.tolist()
-    # all three derived fields given: the copy of a set built from coords
-    # alone still reads its own points
-    fresh = generate(s.config, s.bound)
-    lv = tuple(map(sum, pts))
-    u = dataclasses.replace(fresh, points=pts, levels=lv, members=frozenset(pts))
-    assert np.array_equal(u.coords, np.array(pts)) and u.levels == lv
+    # an int64 array is viewed, not copied, and the view is read-only
+    a = np.array(pts, dtype=np.int64)
+    u = dataclasses.replace(s, coords=a)
+    assert np.shares_memory(u.coords, a) and not u.coords.flags.writeable
+    assert u == t and hash(u) == hash(t) and u != s
+
+
+@pytest.mark.parametrize("coords", [
+    ((1, 2, 3), (4, 5, 6)),
+    ((1,), (2,)),
+    [1, 2],
+    np.zeros((0, 3), dtype=np.int64),
+    np.zeros((1, 2, 2), dtype=np.int64),
+])
+def test_points_of_the_wrong_width_are_refused(coords):
+    s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((6, 6)))
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(s, coords=coords)
+    with pytest.raises(DimensionMismatch):
+        core.UlamSet(s.config, s.sizefn, s.bound, coords)
+
+
+_BASES = {d: generate(validate_config([(1,) * d], d), Bound.box((6,) * d)) for d in range(1, 5)}
+
+
+@st.composite
+def _point_lists(draw):
+    """A size function and a list of 0 to 20 distinct points of dimension
+    1 to 4, in a random order."""
+    dim = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(0, 6)] * dim), max_size=20, unique=True))
+    sizefn = draw(st.sampled_from([
+        SizeFunction.coordinate_sum(),
+        SizeFunction.euclidean_norm_squared(),
+        SizeFunction.weighted_sum([Fraction(i + 1, 2) for i in range(dim)]),
+    ]))
+    return dim, pts, sizefn
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_lists())
+def test_a_set_agrees_with_its_point_list(case):
+    dim, pts, sizefn = case
+    s = dataclasses.replace(_BASES[dim], sizefn=sizefn, coords=pts)
+    assert len(s) == len(pts) and s.coords.shape == (len(pts), dim)
+    assert s.points == tuple(pts)
+    assert s.levels == tuple(map(sizefn.value, pts))
+    assert s.members == frozenset(pts)
+    assert all(p in s and list(p) in s for p in pts)
+    assert (7,) * dim not in s
+    t = core.UlamSet(s.config, sizefn, s.bound, np.array(pts, dtype=np.int64).reshape(-1, dim))
+    assert s == t and hash(s) == hash(t)
+    assert (s == dataclasses.replace(s, coords=pts[::-1])) == (len(pts) < 2)
+    assert s != dataclasses.replace(s, coords=pts + [(7,) * dim])
+    assert (s == dataclasses.replace(s, sizefn=SizeFunction.coordinate_sum())) == (
+        sizefn == SizeFunction.coordinate_sum()
+    )
 
 
 def _fully_built(s):
-    """A copy of ``s`` built from its points, as the reference engine builds sets."""
-    return core.UlamSet(s.config, s.sizefn, s.bound, s.points, s.levels, s.members)
+    """A copy of ``s`` built from its points as tuples, as the reference engine builds sets."""
+    return core.UlamSet(s.config, s.sizefn, s.bound, s.points)
 
 
 @pytest.mark.parametrize("raw,bound", [
@@ -621,7 +675,7 @@ def _no_derivation(s):
 def test_the_plane_ops_read_only_the_coordinate_array(monkeypatch, capsys):
     # the ops of the benchmark's plane workload, on smaller boxes
     for name in ("points", "levels", "members"):
-        monkeypatch.setattr(vars(core.UlamSet)[name], "derive", _no_derivation)
+        monkeypatch.setattr(vars(core.UlamSet)[name], "func", _no_derivation)
     for raw, box in (([(1, 0), (2, 0), (0, 1)], (20, 400)), ([(2, 0), (3, 0), (0, 1)], (30, 400))):
         s = generate(validate_config(raw, 2), Bound.box(box))
         assert columns.columns_report(s).nonempty_indices()
@@ -631,6 +685,15 @@ def test_the_plane_ops_read_only_the_coordinate_array(monkeypatch, capsys):
     assert verify.compare_set_to_oracle(s, "extra-vector", box, 6, 4).ok
     assert cli.run(["generate", "--init", "(2,0),(3,0),(0,1)", "--box", "30,400"]) == 0
     assert capsys.readouterr().out.startswith("x,y\n")
+    # the size-function filter and the angle ranking of the whole set
+    cfg = validate_config([(1, 0), (0, 1), (6, 4)], 2)
+    for sizefn, bound in ((SizeFunction.weighted_sum([1, Fraction(3, 2)]), Bound.level(16)),
+                          (SizeFunction.euclidean_norm_squared(), Bound.level(150))):
+        assert generate(cfg, bound, sizefn) == generate_reference(cfg, bound, sizefn)
+    ranked = verify.angle_ranking(s)
+    assert sorted(p for p, _ in ranked) == sorted(map(tuple, s.coords.tolist()))
+    angles = [a for _, a in ranked]
+    assert angles == sorted(angles, reverse=True)
     with pytest.raises(AssertionError, match="derived field"):
         s.points
 
@@ -639,7 +702,7 @@ def test_signal_row_mode_reads_only_the_coordinate_array(monkeypatch):
     s = generate(validate_config([(2, 0), (3, 0), (0, 1)], 2), Bound.box((30, 400)))
     walks = [tuple(sorted(p[0] for p in s.points if p[1] == y and p[0] > 0)) for y in (0, 1, 7)]
     for name in ("points", "levels", "members"):
-        monkeypatch.setattr(vars(core.UlamSet)[name], "derive", _no_derivation)
+        monkeypatch.setattr(vars(core.UlamSet)[name], "func", _no_derivation)
     scanned = []
 
     def record(initials, terms):

@@ -164,8 +164,14 @@ def test_certificate_false_on_incomplete_set():
 
     s = generate_cyclic([(1, 0), (1, 1), (1, 3)], 7, 60)
     pts = tuple(p for p in s.points if p != (3, 0))
-    broken = dataclasses.replace(s, points=pts, members=frozenset(pts))
+    broken = dataclasses.replace(s, points=pts)
     assert not finiteness_certificate(broken)
+
+
+def test_members_follow_the_points_of_a_replaced_set():
+    s = generate_cyclic([(1, 3), (3, 4)], 6, 40)
+    t = dataclasses.replace(s, points=s.points[:2])
+    assert t.members == frozenset(s.points[:2]) and s.points[2] not in t
 
 
 def test_norm_independence_x_vs_scaled():
@@ -225,7 +231,7 @@ def test_certificate_matches_the_pairwise_definition(case, drop):
     if len(s) > 1:  # the same set with one point removed
         i = drop % len(s)
         pts = s.points[:i] + s.points[i + 1:]
-        sets.append(dataclasses.replace(s, points=pts, members=frozenset(pts)))
+        sets.append(dataclasses.replace(s, points=pts))
     # and each with the least bound that decides it
     sets += [dataclasses.replace(t, x_bound=2 * t.max_x) for t in sets]
     for t in sets:

@@ -298,7 +298,7 @@ def test_oracle_carries_its_initial_configuration(oracle_id, m, n, initials):
 def test_fault_injection_detected():
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((20, 20)))
     pts = tuple(p for p in s.points if p != (3, 5))
-    corrupt = dataclasses.replace(s, points=pts, members=frozenset(pts))
+    corrupt = dataclasses.replace(s, coords=pts)
     rep = compare_set_to_oracle(corrupt, "two-generators", Bound.box((20, 20)))
     assert rep.missing == ((3, 5),) and not rep.extra
 
@@ -323,7 +323,7 @@ def test_diagonal_absent(unit3d_level30):
     assert diagonal_absent(unit3d_level30)
     pts = unit3d_level30.points + ((2, 2, 2),)
     fake = dataclasses.replace(
-        unit3d_level30, points=pts, members=frozenset(pts)
+        unit3d_level30, coords=pts
     )
     assert not diagonal_absent(fake)
 
@@ -352,7 +352,7 @@ def test_angle_ranking_permutation_invariant(unit3d_level30):
         (p[1], p[0], p[2]) for p in unit3d_level30.points
     ))
     swapped = dataclasses.replace(
-        unit3d_level30, points=swapped_pts, members=frozenset(swapped_pts)
+        unit3d_level30, coords=swapped_pts
     )
     ranked_sw = angle_ranking(swapped)
     assert [a for _, a in ranked] == [a for _, a in ranked_sw]
@@ -373,7 +373,7 @@ def _point_sets(draw):
     pts = draw(st.lists(st.tuples(*[st.integers(0, 4)] * dim), max_size=30, unique=True))
     cfg = validate_config([(1,) * dim], dim)
     return core.UlamSet(cfg, SizeFunction.coordinate_sum(), Bound.box((4,) * dim),
-                        tuple(pts), tuple(map(sum, pts)), frozenset(pts))
+                        tuple(pts))
 
 
 @settings(max_examples=200, deadline=None)
@@ -392,7 +392,7 @@ def test_array_walks_match_the_former_point_walks(s):
 @given(_point_sets())
 def test_angle_ranking_matches_the_former_two_key_walk(s):
     pts = tuple(p for p in s.points if any(p))  # the angle needs a nonzero point
-    s = dataclasses.replace(s, points=pts, levels=tuple(map(sum, pts)), members=frozenset(pts))
+    s = dataclasses.replace(s, coords=pts)
 
     def key(p):
         return Fraction(sum(p) ** 2, s.dim * sum(c * c for c in p))
@@ -479,7 +479,7 @@ def _corrupt(s, rng, k):
         p = tuple(rng.randint(0, l) for l in limits)
         if p not in pts and s.bound.contains(p, s.sizefn.value(p)):
             pts.append(p)
-    return dataclasses.replace(s, points=tuple(pts), members=frozenset(pts))
+    return dataclasses.replace(s, coords=tuple(pts))
 
 
 def _outcome(fn):
@@ -539,7 +539,7 @@ def test_diff_of_a_corrupt_set_reads_its_new_points():
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((20, 20)))
     assert s.coords.shape == (len(s), 2)  # the generated array, now cached
     pts = tuple(p for p in s.points if p != (3, 5)) + ((2, 2),)
-    corrupt = dataclasses.replace(s, points=pts, members=frozenset(pts))
+    corrupt = dataclasses.replace(s, coords=pts)
     rep = compare_set_to_oracle(corrupt, "two-generators", Bound.box((20, 20)))
     assert rep.missing == ((3, 5),) and rep.extra == ((2, 2),)
 
