@@ -188,18 +188,19 @@ def validate_config(raw, dim: int) -> InitialConfig:
     return InitialConfig(dim, tuple(pts))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class UlamSet:
     """A generated set truncated to a bound.
 
-    A set is its ``coords``: the points as a read-only (n, d) int64 array,
-    sorted by (f-level, lexicographic).  Any sequence of points is turned
-    into such an array (an int64 array is viewed, not copied), and one of
-    the wrong width raises :class:`DimensionMismatch`.  ``points`` (the rows
-    as tuples), ``levels`` (the f-value of each) and ``members`` (their
-    frozenset, for O(1) membership via ``in``) are derived from ``coords``
-    on first read.  Two sets are equal when their config, size function,
-    bound and coordinate bytes are.
+    A set is its ``coords``, the only data it stores: the points as a
+    read-only (n, d) int64 array, sorted by (f-level, lexicographic).  Any
+    sequence of points becomes such an array, copied unless it is one
+    already; the wrong width raises :class:`DimensionMismatch`.  ``points``
+    (rows as tuples), ``levels`` (f of each) and ``members`` (their
+    frozenset, for ``in``) are derived on first read.  Sets are equal when
+    config, size function, bound and coordinate bytes are.  ``points=``
+    may stand for ``coords``, as ``dataclasses.replace(s, points=...)``
+    passes it; ``levels=`` and ``members=`` must then agree with it.
     """
 
     config: InitialConfig
@@ -207,15 +208,21 @@ class UlamSet:
     bound: Bound
     coords: np.ndarray
 
-    def __post_init__(self):
-        a = np.asarray(self.coords, dtype=np.int64)
+    def __init__(self, config, sizefn, bound, coords, *, points=None, levels=None, members=None):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "sizefn", sizefn)
+        object.__setattr__(self, "bound", bound)
+        a = np.asarray(coords if points is None else points, dtype=np.int64)
         if a.shape == (0,):
             a = a.reshape(0, self.dim)
         if a.ndim != 2 or a.shape[1] != self.dim:
             raise DimensionMismatch(f"points of shape {a.shape} for dimension {self.dim}")
-        a = a.view()
+        a = a.copy() if a.flags.writeable else a  # the caller may still write to it
         a.flags.writeable = False
         object.__setattr__(self, "coords", a)
+        if (levels is not None and tuple(levels) != self.levels
+                or members is not None and frozenset(members) != self.members):
+            raise ValueError("levels or members disagree with the points")
 
     def __contains__(self, p) -> bool:
         return tuple(p) in self.members
@@ -232,10 +239,8 @@ class UlamSet:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        return (
-            f"UlamSet(k={self.config.k}, dim={self.config.dim}, "
-            f"bound={self.bound.kind}, n={len(self)})"
-        )
+        return (f"UlamSet(k={self.config.k}, dim={self.dim}, "
+                f"bound={self.bound.kind}, n={len(self)})")
 
     @property
     def dim(self) -> int:
@@ -474,6 +479,7 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
     rest = mflats[:n]
     for i, s in enumerate(stride_list):
         coords[:, i], rest = np.divmod(rest, s)
+    coords.flags.writeable = False
     return UlamSet(config, SizeFunction.coordinate_sum(), bound, coords)
 
 

@@ -91,6 +91,7 @@ _FIT_ROUNDS = 8  # least-squares rounds; each one re-selects the residues in J
 _BLOCK = 1 << 14  # values per block of classes
 _WINDOW = 128  # values per window of counts read at once
 _TRACKED_J = 64  # smallest members of J whose pairs are counted like outliers
+_PULL_HEAD = 256  # members of J tried before a full pull count
 _MAX_OUTLIER_SHARE = 0.05  # above it, pull counts cost more than full counts
 
 
@@ -150,9 +151,14 @@ def _estimate(members: np.ndarray, j: int) -> int:
     return j
 
 
-def _pull_count(v: int, in_j: np.ndarray, j_members: np.ndarray) -> int:
-    """Pairs of members of J that sum to v."""
-    return int(np.count_nonzero(in_j[v - j_members[2 * j_members < v]]))
+def _pull_count(v: int, need: int, in_j: np.ndarray, j_members: np.ndarray) -> int:
+    """Pairs of members of J that sum to v, counted until ``need`` are found."""
+    head = j_members[:_PULL_HEAD]
+    found = int(np.count_nonzero(in_j[v - head[2 * head < v]]))
+    if found >= need or j_members.size <= _PULL_HEAD:
+        return found
+    rest = j_members[_PULL_HEAD:]
+    return found + int(np.count_nonzero(in_j[v - rest[2 * rest < v]]))
 
 
 def _window_partners(values: np.ndarray, width: int) -> int:
@@ -258,7 +264,7 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
                 if in_cls or nj == 0:
                     if c != 1:
                         continue
-                elif c > 1 or c + _pull_count(x, in_j, j_members[:nj]) != 1:
+                elif c > 1 or c + _pull_count(x, 2 - c, in_j, j_members[:nj]) != 1:
                     continue
 
                 out.append(x)

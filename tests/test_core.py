@@ -584,11 +584,29 @@ def test_coords_of_a_replaced_set_follow_its_points():
     empty = dataclasses.replace(s, coords=())
     assert empty.coords.shape == (0, 2) and empty.points == () and not empty.members
     assert generate_reference(s.config, s.bound).coords.tolist() == s.coords.tolist()
-    # an int64 array is viewed, not copied, and the view is read-only
+    # a writeable array is copied, so a later write to it leaves the set as it was
     a = np.array(pts, dtype=np.int64)
     u = dataclasses.replace(s, coords=a)
-    assert np.shares_memory(u.coords, a) and not u.coords.flags.writeable
-    assert u == t and hash(u) == hash(t) and u != s
+    assert u.points == pts
+    a[0] = (5, 5)
+    assert u.coords.tolist() == [list(p) for p in pts] and not u.coords.flags.writeable
+    assert u == t and hash(u) == hash(t) and u != s and (5, 5) not in u
+    # the engine's read-only array is kept as it is
+    assert dataclasses.replace(s, coords=s.coords).coords is s.coords
+
+
+def test_points_given_by_keyword_take_the_place_of_coords():
+    s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((6, 6)))
+    pts = s.points[:3] + ((2, 2),)
+    t = dataclasses.replace(s, points=pts, levels=tuple(map(sum, pts)), members=frozenset(pts))
+    assert t == dataclasses.replace(s, coords=pts)
+    assert (len(t), len(t.levels), len(t.members)) == (4, 4, 4) and (2, 2) in t
+    with pytest.raises(ValueError, match="disagree"):
+        dataclasses.replace(s, points=pts, members=frozenset(s.points))
+    with pytest.raises(ValueError, match="disagree"):
+        dataclasses.replace(s, points=pts, levels=s.levels)
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(s, points=((1, 2, 3),))
 
 
 @pytest.mark.parametrize("coords", [
