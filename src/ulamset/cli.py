@@ -38,14 +38,32 @@ from .signal import _COARSE_STEP, alpha_scan, check_grid_step, cosine_sum, sign_
 from .verify import compare_set_to_oracle, get_oracle
 
 
+_GROUP = re.compile(r"\(([^()]*)\)")
+
+
+def _groups(text: str) -> list[str]:
+    """The insides of the "(...)" groups of text, outside which it may hold
+    nothing but commas and whitespace."""
+    if _GROUP.sub("", text).replace(",", "").strip():
+        raise ValueError(f"malformed vector list {text!r}")
+    return _GROUP.findall(text)
+
+
+def _rational(text) -> Fraction:
+    """Fraction(text), with a zero denominator refused as other bad text is."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_point_list(text: str) -> list[tuple[int, ...]]:
     """Parse "(1,0),(2,0),(0,1)" or a plain "1,2" for one dimension."""
     text = text.strip()
     if "(" not in text:
         pts = [(int(tok),) for tok in text.split(",") if tok.strip()]
     else:
-        pts = [tuple(int(tok) for tok in group.split(","))
-               for group in re.findall(r"\(([^()]*)\)", text)]
+        pts = [tuple(int(tok) for tok in group.split(",")) for group in _groups(text)]
     if not pts:
         raise ValueError(f"could not parse point list from {text!r}")
     return pts
@@ -69,7 +87,7 @@ def parse_symbolic_vectors(text: str, symbols: dict[str, float]):
     <rational>*<symbol> terms, e.g. "(1,0),(1,1*sqrt2)"."""
     names = tuple(symbols)
     vecs = []
-    for group in re.findall(r"\(([^()]*)\)", text) or [text]:
+    for group in _groups(text) if "(" in text else [text]:
         coords = []
         for coord in group.split(","):
             coord = coord.strip()
@@ -82,11 +100,11 @@ def parse_symbolic_vectors(text: str, symbols: dict[str, float]):
                     s = s.strip()
                     if s not in coeffs:
                         raise ValueError(f"undeclared symbol {s!r} in {coord!r}")
-                    coeffs[s] += Fraction(c.strip())
+                    coeffs[s] += _rational(c.strip())
                 elif term in coeffs:
                     coeffs[term] += 1
                 else:
-                    rat += Fraction(term)
+                    rat += _rational(term)
             coords.append((rat,) + tuple(coeffs[s] for s in names))
         vecs.append(sym_vector(coords, names))
     return vecs
@@ -97,7 +115,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _fraction_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(t) for t in text.split(","))
+    return tuple(map(_rational, text.split(",")))
 
 
 def _is_kind(value, kind) -> bool:
@@ -149,7 +167,8 @@ def _with_config_file(args) -> argparse.Namespace:
     if "size" in raw:
         values["size"] = raw["size"]
     if "weights" in raw:
-        values["weights"] = _file_list(raw["weights"], (int, str), "weights")
+        weights = _file_list(raw["weights"], (int, str), "weights")
+        values["weights"] = tuple(map(_rational, weights))
     if "modulus" in raw:
         values["cyclic"] = _file_int(raw["modulus"], "modulus")
     twice = [f"--{dest}" for dest in values if getattr(args, dest) is not None]
@@ -334,16 +353,12 @@ def _cmd_columns(args) -> int:
     check_column_args(args.max_period, args.min_evidence, args.step)
     uset = _ulam_set(args, args.init, 2)
     rep = columns_report(
-        uset, axis=1, step=args.step,
-        max_period=args.max_period, min_evidence=args.min_evidence,
+        uset, step=args.step, max_period=args.max_period, min_evidence=args.min_evidence,
     )
     if args.format == "json":
-        profiles = [dataclasses.asdict(p) for p in rep.profiles]
-        for p in profiles:
-            del p["axis"], p["step"]  # the same for every profile
         _emit(_json({
             "step": rep.step,
-            "profiles": profiles,
+            "profiles": [dataclasses.asdict(p) for p in rep.profiles],
             "inconclusive": rep.inconclusive,
             "violations": rep.violations,
         }), args.out)
@@ -528,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("signal", help="cosine-sum frequency analysis")
     s.add_argument("--init", type=parse_point_list, default=[(1,), (2,)])
     s.add_argument("--terms", type=int, default=50000)
-    s.add_argument("--alpha", type=Fraction, help="evaluate at one frequency")
+    s.add_argument("--alpha", type=_rational, help="evaluate at one frequency")
     s.add_argument("--coarse-step", type=float, default=_COARSE_STEP, dest="coarse_step")
     s.add_argument("--csv-out", dest="csv_out", help="write coarse scan CSV")
     s.add_argument("--csv-points", type=int, default=4000, dest="csv_points")

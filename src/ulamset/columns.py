@@ -1,11 +1,13 @@
 """Column periodicity analysis for planar sets.
 
-A column is the membership pattern along one axis with the other
-coordinate fixed.  For configurations containing (0, a) and no other
-vector on the swept axis, every column is eventually periodic with period
-a * 2^n, so membership words are scanned per residue class modulo the step
-and minimal periods are compared against the power-of-two and
-doubling-lineage predictions.  Detection from a finite window is always
+A column x = const is the membership pattern along y at that x.  For
+configurations containing (0, a) and no other vector on the y-axis, every
+column is eventually periodic with period a * 2^n, so membership words are
+scanned per residue class of y modulo the step and minimal periods are
+compared against the power-of-two and doubling-lineage predictions.
+Growth commutes with swapping the two coordinates, so the report of a row
+y = const is the column report of the set grown from the swapped initials
+in the swapped box.  Detection from a finite window is always
 labeled empirical: the height at which periodicity sets in carries no
 useful a-priori bound.
 
@@ -139,38 +141,22 @@ def _fit(word: np.ndarray, t: int, p: int) -> PeriodFit | None:
     return PeriodFit(t, p, word[t:t + p].tobytes().decode("ascii"), (len(word) - t) // p)
 
 
-def column_word(
-    uset: UlamSet,
-    axis: int,
-    index: int,
-    lo: int,
-    hi: int,
-    step: int = 1,
-) -> str:
-    """Membership word of one column.
+def column_word(uset: UlamSet, index: int, lo: int, hi: int, step: int = 1) -> str:
+    """Membership word of the column x = ``index``.
 
-    ``axis`` is the swept coordinate (0 or 1); ``index`` fixes the other
-    coordinate.  Symbol j reports membership of the point whose swept
-    coordinate is lo + j*step, so the word stays within the residue class
-    of ``lo`` modulo the step.
+    Symbol j reports membership of the point (index, lo + j*step), so the
+    word stays within the residue class of ``lo`` modulo the step.
     """
     if uset.dim != 2:
         raise RangeExceedsBound("column words are defined for planar sets")
     if step < 1 or lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi and step >= 1")
-    other = 1 - axis
-    far = [0, 0]
-    far[axis], far[other] = hi, index
-    bound = uset.bound
-    if not bound.contains(tuple(far), uset.sizefn.value(tuple(far))):
-        raise RangeExceedsBound(
-            f"column (axis={axis}, index={index}) up to {hi} leaves the bound"
-        )
+    far = (index, hi)
+    if not uset.bound.contains(far, uset.sizefn.value(far)):
+        raise RangeExceedsBound(f"column {index} up to {hi} leaves the bound")
     if index < 0:  # no member has a negative coordinate
         return "0" * len(range(lo, hi + 1, step))
-    shape = [0, 0]
-    shape[axis], shape[other] = hi + 1, index + 1
-    return _grid_word(_member_grid(uset, shape), axis, index, lo, hi, step)
+    return _grid_word(_member_grid(uset, (index + 1, hi + 1)), index, lo, hi, step)
 
 
 def _member_grid(uset: UlamSet, shape) -> np.ndarray:
@@ -182,10 +168,9 @@ def _member_grid(uset: UlamSet, shape) -> np.ndarray:
     return grid
 
 
-def _grid_word(grid: np.ndarray, axis: int, index: int, lo: int, hi: int, step: int) -> str:
-    """Symbols lo, lo + step, ... <= hi of one column of a member grid."""
-    line = grid[:, index] if axis == 0 else grid[index]
-    return line[lo:hi + 1:step].tobytes().decode("ascii")
+def _grid_word(grid: np.ndarray, index: int, lo: int, hi: int, step: int) -> str:
+    """Symbols lo, lo + step, ... <= hi of the column x = ``index`` of a member grid."""
+    return grid[index, lo:hi + 1:step].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -196,10 +181,8 @@ class ColumnProfile:
     the nearest earlier column whose period this one equals or doubles.
     """
 
-    axis: int
     index: int
     residue: int
-    step: int
     preperiod: int
     period: int
     pattern: str
@@ -210,7 +193,6 @@ class ColumnProfile:
 
 @dataclass(frozen=True)
 class ColumnsReport:
-    axis: int
     step: int
     profiles: tuple[ColumnProfile, ...]
     inconclusive: tuple[tuple[int, int], ...]  # (index, residue) pairs
@@ -228,36 +210,32 @@ def _odd_part(n: int) -> int:
 
 def columns_report(
     uset: UlamSet,
-    axis: int = 1,
     step: int = 1,
     max_period: int = DEFAULT_MAX_PERIOD,
     min_evidence: int = DEFAULT_MIN_EVIDENCE,
 ) -> ColumnsReport:
     """Detect eventual periods for every column of a box-bounded planar set.
 
-    Column words are built per residue class modulo the step, and the
-    periods of all columns of one residue class are detected together on
-    the member grid, by the rule of :func:`detect_eventual_period` with its
-    edge guard.  Two checks run over the conclusive profiles, and every
-    failure is reported rather than dropped: the odd part of the detected minimal period (in swept
-    units) must divide the step, and each period must equal or double the
+    Each column is swept along y, its words built per residue class of y
+    modulo the step, and the periods of all columns of one residue class
+    are detected together on the member grid, by the rule of
+    :func:`detect_eventual_period` with its edge guard.  Two checks run over
+    the conclusive profiles, and every failure is reported rather than
+    dropped: the odd part of the detected minimal period (in units of y)
+    must divide the step, and each period must equal or double the
     period of some earlier column (the empty column over index 0 anchors
     the lineage with period 1).
     """
     if uset.dim != 2 or uset.bound.kind != "box":
         raise RangeExceedsBound("column reports need a box-bounded planar set")
     check_column_args(max_period, min_evidence, step)
-    other = 1 - axis
-    hi_sweep = uset.bound.limits[axis]
-    hi_index = uset.bound.limits[other]
+    hi_index, hi_sweep = uset.bound.limits
 
     profiles: list[ColumnProfile] = []
     inconclusive: list[tuple[int, int]] = []
     violations: list[str] = []
     seen_periods: list[tuple[int, int]] = []  # (index, period) lineage
-    grid = _member_grid(uset, [l + 1 for l in uset.bound.limits])
-    if axis == 0:
-        grid = grid.T  # one row per column index
+    grid = _member_grid(uset, (hi_index + 1, hi_sweep + 1))  # one row per column
     classes = []  # per residue: the words of every column, preperiods, periods
     for residue in range(min(step, hi_sweep + 1)):
         words = np.ascontiguousarray(grid[:, residue::step])
@@ -289,10 +267,8 @@ def columns_report(
                 )
             profiles.append(
                 ColumnProfile(
-                    axis=axis,
                     index=index,
                     residue=residue,
-                    step=step,
                     preperiod=fit.preperiod,
                     period=fit.period,
                     pattern=fit.pattern,
@@ -304,7 +280,6 @@ def columns_report(
             seen_periods.append((index, fit.period))
 
     return ColumnsReport(
-        axis=axis,
         step=step,
         profiles=tuple(profiles),
         inconclusive=tuple(inconclusive),

@@ -56,20 +56,12 @@ def _reduced_args(terms, alpha: Fraction) -> np.ndarray:
 
 def cosine_sum(seq: Sequence1D, alpha) -> float:
     """Sum of cos(alpha * a_n) over the sequence, exact argument reduction."""
-    if not seq.terms:
-        return 0.0
-    a = Fraction(alpha)
-    if a == 0:
-        return float(len(seq.terms))
-    return float(np.cos(_reduced_args(seq.terms, a)).sum())
+    return float(np.cos(_reduced_args(seq.terms, Fraction(alpha))).sum())
 
 
 def sign_exception_set(seq: Sequence1D, alpha) -> list[int]:
     """All terms a_n with cos(alpha * a_n) >= 0."""
-    a = Fraction(alpha)
-    if a == 0:
-        return list(seq.terms)
-    keep = np.flatnonzero(np.cos(_reduced_args(seq.terms, a)) >= 0.0)
+    keep = np.flatnonzero(np.cos(_reduced_args(seq.terms, Fraction(alpha))) >= 0.0)
     return [int(seq.terms[i]) for i in keep.tolist()]
 
 
@@ -77,15 +69,13 @@ def sign_exception_set(seq: Sequence1D, alpha) -> list[int]:
 class SignalScan:
     """Result of a frequency scan: coarse grid plus refined minimizer."""
 
-    alpha_lo: float
-    alpha_hi: float
-    alpha_step: float
+    alpha_step: float  # the coarse grid is alpha_step * (1, 2, ...)
     sums: np.ndarray  # normalized S(alpha)/N on the coarse grid
     best_alpha: float
     best_value: float  # normalized S(best_alpha)/N
 
     def coarse_alpha(self, j: int) -> float:
-        return self.alpha_lo + j * self.alpha_step
+        return self.alpha_step + j * self.alpha_step
 
     def __repr__(self) -> str:
         return (
@@ -198,8 +188,6 @@ def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
             value_best = float(vals[j])
 
     return SignalScan(
-        alpha_lo=step,
-        alpha_hi=len(sums) * step,
         alpha_step=step,
         sums=sums,
         best_alpha=alpha_best,

@@ -42,6 +42,22 @@ def test_parse_point_list_rejects_text_without_points(text):
         parse_point_list(text)
 
 
+@pytest.mark.parametrize("text", [
+    "(1,0),(0,1", "(1,0),(0,1),(1,1", "(1,0)x(0,1)", "((1,0),(0,1))", "(1,0),0,1",
+])
+def test_malformed_vector_lists_are_refused(text):
+    with pytest.raises(ValueError, match="malformed vector list"):
+        parse_point_list(text)
+    with pytest.raises(ValueError, match="malformed vector list"):
+        parse_symbolic_vectors(text, {})
+
+
+def test_vector_lists_may_space_their_groups():
+    for text in (" (1,0) , (0,1) ", "(1,0) (0,1)", "(1,0),(0,1),"):
+        assert parse_point_list(text) == [(1, 0), (0, 1)]
+        assert len(parse_symbolic_vectors(text, {})) == 2
+
+
 def test_parse_symbolic_vectors():
     symbols = parse_symbol_table("sqrt2=1.41421356")
     vecs = parse_symbolic_vectors("(1,0),(1,1*sqrt2)", symbols)
@@ -497,12 +513,16 @@ def test_path_outputs_match_frozen_checksums(capsys, argv, code, size, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _fail_on_work(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("work started before the flags were checked")
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the flags were checked")
 
-    for name in ("generate", "ulam_sequence", "generate_cyclic", "alpha_scan"):
-        monkeypatch.setattr(cli, name, fail)
+
+_WORK = ("generate", "ulam_sequence", "generate_cyclic", "alpha_scan")
+
+
+def _fail_on_work(monkeypatch, names=_WORK):
+    for name in names:
+        monkeypatch.setattr(cli, name, _no_work)
 
 
 _SCAN = ["signal", "--init", "1,2", "--terms", "200"]
@@ -562,6 +582,33 @@ def test_config_file_and_a_flag_for_the_same_value_exit_2(
     assert run(["generate", "--config", str(cfg)] + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and flags[0] in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--init", "(1,0),(0,1)", "--box", "3,3", "--size", "weighted",
+     "--weights", "1/0,1"],
+    ["signal", "--init", "1,2", "--terms", "50", "--alpha", "1/0"],
+    ["equiv", "--a", "(1/0,1),(0,1)", "--b", "(1,0),(0,1)"],
+    ["embed", "--init", "(1/0,1),(0,1)"],
+    ["generate", "--config", "run.json"],
+], ids=["weights", "alpha", "equiv", "embed", "config-weights"])
+def test_zero_denominator_exits_2(monkeypatch, tmp_path, capsys, argv):
+    _fail_on_work(monkeypatch)
+    _fail_on_work(monkeypatch, ("structurally_equivalent", "embed_integer_lattice"))
+    monkeypatch.chdir(tmp_path)
+    doc = {**_LATTICE_FILE, "size": "weighted", "weights": ["1/0", 1]}
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--init", "(1,0),(0,1", "--box", "3,3"],
+    ["equiv", "--a", "(1,0),(0,1),(1,1", "--b", "(1,0),(0,1)"],
+], ids=["generate", "equiv"])
+def test_malformed_point_list_exits_2(monkeypatch, capsys, argv):
+    _fail_on_work(monkeypatch)
+    _fail_on_work(monkeypatch, ("structurally_equivalent",))
+    _usage_error(capsys, argv)
 
 
 _COLUMNS = ["columns", "--init", "(2,0),(3,0),(0,1)", "--box", "70,3000"]

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -220,7 +222,7 @@ def test_detect_matches_exhaustive_scan(word):
 
 def test_column_word_two_generators():
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((11, 10)))
-    w = column_word(s, axis=1, index=3, lo=0, hi=10)
+    w = column_word(s, index=3, lo=0, hi=10)
     assert w == "01010101010"
     assert {y for y, ch in enumerate(w) if ch == "1"} == {1, 3, 5, 7, 9}
 
@@ -228,12 +230,12 @@ def test_column_word_two_generators():
 def test_column_word_range_guard():
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((11, 10)))
     with pytest.raises(RangeExceedsBound):
-        column_word(s, axis=1, index=3, lo=0, hi=50)
+        column_word(s, index=3, lo=0, hi=50)
 
 
 def test_column_word_single_symbol():
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((11, 10)))
-    assert column_word(s, axis=1, index=1, lo=4, hi=4) == "1"
+    assert column_word(s, index=1, lo=4, hi=4) == "1"
 
 
 def test_column_word_honors_the_sets_own_size_function():
@@ -245,25 +247,20 @@ def test_column_word_honors_the_sets_own_size_function():
         SizeFunction.euclidean_norm_squared(),
     )
     # (2,6) has squared norm 40 <= 50, but (2,7) has 53 > 50
-    assert column_word(s, axis=1, index=2, lo=0, hi=6) == "0100000"
+    assert column_word(s, index=2, lo=0, hi=6) == "0100000"
     with pytest.raises(RangeExceedsBound):
-        column_word(s, axis=1, index=2, lo=0, hi=7)
+        column_word(s, index=2, lo=0, hi=7)
 
 
 def test_empty_column_in_axes_2_3_config():
     s = generate(validate_config([(2, 0), (0, 1), (3, 1)], 2), Bound.box((8, 20)))
-    assert column_word(s, axis=1, index=5, lo=2, hi=20) == "0" * 19
+    assert column_word(s, index=5, lo=2, hi=20) == "0" * 19
 
 
-def _lookup_word(uset, axis, index, lo, hi, step):
+def _lookup_word(uset, index, lo, hi, step):
     """Column word by one set lookup per symbol."""
-    out = []
-    p = [0, 0]
-    p[1 - axis] = index
-    for v in range(lo, hi + 1, step):
-        p[axis] = v
-        out.append("1" if tuple(p) in uset.members else "0")
-    return "".join(out)
+    return "".join("1" if (index, y) in uset.members else "0"
+                   for y in range(lo, hi + 1, step))
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,21 +271,20 @@ def _lookup_word(uset, axis, index, lo, hi, step):
         max_size=4,
         unique=True,
     ),
-    st.integers(0, 1),
     st.data(),
 )
-def test_column_words_match_set_lookups(raw, axis, data):
+def test_column_words_match_set_lookups(raw, data):
     limits = (data.draw(st.integers(4, 20)), data.draw(st.integers(4, 30)))
     s = generate(validate_config(raw, 2), Bound.box(limits))
-    index = data.draw(st.integers(-1, limits[1 - axis]), label="index")
-    hi = data.draw(st.integers(0, limits[axis]), label="hi")
+    index = data.draw(st.integers(-1, limits[0]), label="index")
+    hi = data.draw(st.integers(0, limits[1]), label="hi")
     lo = data.draw(st.integers(0, hi), label="lo")
     step = data.draw(st.integers(1, 4), label="step")
-    want = _lookup_word(s, axis, index, lo, hi, step)
-    assert column_word(s, axis, index, lo, hi, step) == want
+    want = _lookup_word(s, index, lo, hi, step)
+    assert column_word(s, index, lo, hi, step) == want
     if index >= 0:
         grid = _member_grid(s, [l + 1 for l in limits])
-        assert _grid_word(grid, axis, index, lo, hi, step) == want
+        assert _grid_word(grid, index, lo, hi, step) == want
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +351,10 @@ def test_columns_report_rejects_a_level_bounded_set():
 # whole-grid period detection against a per-column scan
 
 
-def ref_columns_report(uset, axis=1, step=1, max_period=DEFAULT_MAX_PERIOD,
+def ref_columns_report(uset, step=1, max_period=DEFAULT_MAX_PERIOD,
                        min_evidence=DEFAULT_MIN_EVIDENCE):
     """columns_report as one per-character scan per column word."""
-    other = 1 - axis
-    hi_sweep = uset.bound.limits[axis]
-    hi_index = uset.bound.limits[other]
+    hi_index, hi_sweep = uset.bound.limits
 
     profiles = []
     inconclusive = []
@@ -372,7 +366,7 @@ def ref_columns_report(uset, axis=1, step=1, max_period=DEFAULT_MAX_PERIOD,
         for residue in range(step):
             if residue > hi_sweep:
                 continue
-            word = _grid_word(grid, axis, index, residue, hi_sweep, step)
+            word = _grid_word(grid, index, residue, hi_sweep, step)
             scan = _string_scan(word, max_period, min_evidence, edge_guard=True)
             if scan is None:
                 inconclusive.append((index, residue))
@@ -398,10 +392,8 @@ def ref_columns_report(uset, axis=1, step=1, max_period=DEFAULT_MAX_PERIOD,
                 )
             profiles.append(
                 ColumnProfile(
-                    axis=axis,
                     index=index,
                     residue=residue,
-                    step=step,
                     preperiod=fit.preperiod,
                     period=fit.period,
                     pattern=fit.pattern,
@@ -413,7 +405,6 @@ def ref_columns_report(uset, axis=1, step=1, max_period=DEFAULT_MAX_PERIOD,
             seen_periods.append((index, fit.period))
 
     return ColumnsReport(
-        axis=axis,
         step=step,
         profiles=tuple(profiles),
         inconclusive=tuple(inconclusive),
@@ -450,7 +441,6 @@ _report_args = dict(
     step=st.integers(1, 4),
     max_period=st.integers(1, 70),
     min_evidence=st.integers(3, 5),
-    axis=st.sampled_from([0, 1]),
 )
 
 
@@ -458,34 +448,61 @@ _report_args = dict(
 @given(n_rows=st.integers(1, 14), length=st.integers(1, 90),
        rng=st.randoms(use_true_random=False), **_report_args)
 def test_whole_grid_periods_match_per_column_detection(
-        n_rows, length, rng, step, max_period, min_evidence, axis):
+        n_rows, length, rng, step, max_period, min_evidence):
     """Random 0/1 grids, from one-symbol words (every residue but 0 past the
     sweep) to words shorter than max_period."""
     uset = _grid_set(_random_rows(rng, n_rows, length))
-    args = dict(axis=axis, step=step, max_period=max_period, min_evidence=min_evidence)
+    args = dict(step=step, max_period=max_period, min_evidence=min_evidence)
     assert columns_report(uset, **args) == ref_columns_report(uset, **args)
+
+
+_COLUMN_SETS = (
+    ([(1, 0), (2, 0), (0, 1)], (20, 300)),
+    ([(2, 0), (3, 0), (0, 1)], (30, 400)),
+    ([(1, 0), (0, 1)], (13, 100)),
+    ([(1, 0), (2, 0), (0, 2)], (3, 2)),
+)
 
 
 @pytest.fixture(scope="module")
 def column_sets():
-    return [
-        generate(validate_config(init, 2), Bound.box(box))
-        for init, box in (
-            ([(1, 0), (2, 0), (0, 1)], (20, 300)),
-            ([(2, 0), (3, 0), (0, 1)], (30, 400)),
-            ([(1, 0), (0, 1)], (13, 100)),
-            ([(1, 0), (2, 0), (0, 2)], (3, 2)),
-        )
-    ]
+    return [generate(validate_config(init, 2), Bound.box(box)) for init, box in _COLUMN_SETS]
 
 
 @settings(max_examples=60, deadline=None)
 @given(which=st.integers(0, 3), **_report_args)
 def test_whole_grid_periods_match_on_generated_sets(
-        column_sets, which, step, max_period, min_evidence, axis):
+        column_sets, which, step, max_period, min_evidence):
     uset = column_sets[which]
-    args = dict(axis=axis, step=step, max_period=max_period, min_evidence=min_evidence)
+    args = dict(step=step, max_period=max_period, min_evidence=min_evidence)
     assert columns_report(uset, **args) == ref_columns_report(uset, **args)
+
+
+# sha256 of the row reports (rows y = const swept along x) of the
+# _COLUMN_SETS, per step, as made by the former columns_report(s, axis=0,
+# step=step): the JSON, keys sorted, of the list of the four reports'
+# profiles (without their axis and step fields), inconclusive pairs and
+# violations.
+ROW_REPORT_SHA256 = {
+    1: "97fc47e5651dfb4ffe0f0523a299a044a390dec49543f674e1e949584845c416",
+    2: "6a29548a0af731006261ebb3dd303ba8c56b25f9486a114bbd7834f270f5a91b",
+    3: "7684d8a1d035d62b75c2f47f0e31c7738dc6caacb9b67e7ddc8113cd80d0e673",
+}
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_row_reports_are_column_reports_of_the_swapped_set(step):
+    docs = []
+    for init, (x_max, y_max) in _COLUMN_SETS:
+        t = generate(validate_config([(y, x) for x, y in init], 2), Bound.box((y_max, x_max)))
+        rep = columns_report(t, step=step)
+        docs.append({
+            "profiles": [dataclasses.asdict(p) for p in rep.profiles],
+            "inconclusive": rep.inconclusive,
+            "violations": rep.violations,
+        })
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ROW_REPORT_SHA256[step]
 
 
 def test_columns_report_requires_min_evidence():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ulamset import (
@@ -230,6 +230,32 @@ def test_permutation_symmetry_unit_vectors():
     pts = set(s.points)
     for perm in itertools.permutations(range(3)):
         assert {tuple(p[i] for i in perm) for p in pts} == pts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_growth_commutes_with_permuting_coordinates(data):
+    """Asymmetric initials: the set grown from permuted initials in the
+    permuted bound is the permuted set, re-sorted by (level, lex)."""
+    dim = data.draw(st.integers(2, 4), label="dim")
+    raw = data.draw(_points_strategy(dim, max_coord=3), label="initials")
+    perm = data.draw(st.permutations(range(dim)), label="perm")
+
+    def swap(p):
+        return tuple(p[i] for i in perm)
+
+    assume(set(map(swap, raw)) != set(raw))
+    if data.draw(st.booleans(), label="box"):
+        extra = 12 if dim == 2 else 4
+        bound = Bound.box([max(v[k] for v in raw) + data.draw(st.integers(0, extra))
+                           for k in range(dim)])
+        swapped = Bound.box(swap(bound.limits))
+    else:
+        bound = swapped = Bound.level(
+            max(map(sum, raw)) + data.draw(st.integers(0, 14 if dim == 2 else 6)))
+    s = generate(validate_config(raw, dim), bound)
+    t = generate(validate_config(list(map(swap, raw)), dim), swapped)
+    assert t.points == tuple(sorted(map(swap, s.points), key=lambda p: (sum(p), p)))
 
 
 def test_scaling_maps_pointwise():
