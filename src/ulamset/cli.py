@@ -43,7 +43,10 @@ _GROUP = re.compile(r"\(([^()]*)\)")
 
 def _groups(text: str) -> list[str]:
     """The insides of the "(...)" groups of text, outside which it may hold
-    nothing but commas and whitespace."""
+    nothing but commas and whitespace.  Text without parentheses is a list
+    of one-dimensional vectors, one group per nonblank comma-separated item."""
+    if "(" not in text:
+        return [item for item in text.split(",") if item.strip()]
     if _GROUP.sub("", text).replace(",", "").strip():
         raise ValueError(f"malformed vector list {text!r}")
     return _GROUP.findall(text)
@@ -59,11 +62,7 @@ def _rational(text) -> Fraction:
 
 def parse_point_list(text: str) -> list[tuple[int, ...]]:
     """Parse "(1,0),(2,0),(0,1)" or a plain "1,2" for one dimension."""
-    text = text.strip()
-    if "(" not in text:
-        pts = [(int(tok),) for tok in text.split(",") if tok.strip()]
-    else:
-        pts = [tuple(int(tok) for tok in group.split(",")) for group in _groups(text)]
+    pts = [tuple(int(tok) for tok in group.split(",")) for group in _groups(text)]
     if not pts:
         raise ValueError(f"could not parse point list from {text!r}")
     return pts
@@ -84,10 +83,12 @@ def parse_symbol_table(text: str | None) -> dict[str, float]:
 
 def parse_symbolic_vectors(text: str, symbols: dict[str, float]):
     """Parse symbolic vectors; coordinates are sums of <rational> or
-    <rational>*<symbol> terms, e.g. "(1,0),(1,1*sqrt2)"."""
+    <rational>*<symbol> terms, e.g. "(1,0),(1,1*sqrt2)".  A list without
+    parentheses, e.g. "1,2", is one-dimensional vectors, as in
+    :func:`parse_point_list`."""
     names = tuple(symbols)
     vecs = []
-    for group in _groups(text) if "(" in text else [text]:
+    for group in _groups(text):
         coords = []
         for coord in group.split(","):
             coord = coord.strip()
@@ -108,6 +109,20 @@ def parse_symbolic_vectors(text: str, symbols: dict[str, float]):
             coords.append((rat,) + tuple(coeffs[s] for s in names))
         vecs.append(sym_vector(coords, names))
     return vecs
+
+
+def _arg(convert):
+    """``convert`` as an argparse type: its ValueError becomes an
+    ArgumentTypeError, so the usage error names the reason, not the
+    converter."""
+
+    def arg(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return arg
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -505,12 +520,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_bound(p):
         bound = p.add_mutually_exclusive_group()
-        bound.add_argument("--box", type=_int_list, help="comma-separated per-coordinate maxima")
+        bound.add_argument("--box", type=_arg(_int_list),
+                           help="comma-separated per-coordinate maxima")
         bound.add_argument("--level", type=int, help="maximum level (f-value)")
 
     g = sub.add_parser("generate", help="generate a set or sequence")
     source = g.add_mutually_exclusive_group(required=True)
-    source.add_argument("--init", type=parse_point_list,
+    source.add_argument("--init", type=_arg(parse_point_list),
                         help="initial vectors, e.g. \"(1,0),(2,0),(0,1)\"")
     source.add_argument("--config", help="JSON config file")
     add_bound(g)
@@ -519,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--x-bound", type=int, default=100, dest="x_bound")
     g.add_argument("--size", choices=["sum", "euclidean", "weighted"],
                    help="size function of a lattice set (default sum)")
-    g.add_argument("--weights", type=_fraction_list)
+    g.add_argument("--weights", type=_arg(_fraction_list))
     g.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
     g.add_argument("--projection", choices=["xy", "complement"], default="xy",
                    help="SVG view of a 3-D set")
@@ -528,8 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_generate, reads=_generate_reads, parser=g)
 
     c = sub.add_parser("columns", help="column periodicity report")
-    c.add_argument("--init", type=parse_point_list, required=True)
-    c.add_argument("--box", type=_int_list, required=True,
+    c.add_argument("--init", type=_arg(parse_point_list), required=True)
+    c.add_argument("--box", type=_arg(_int_list), required=True,
                    help="comma-separated per-coordinate maxima")
     c.add_argument("--step", type=int, default=1)
     c.add_argument("--max-period", type=int, default=DEFAULT_MAX_PERIOD, dest="max_period")
@@ -541,13 +557,13 @@ def build_parser() -> argparse.ArgumentParser:
                    reads=lambda args: "init box step max_period min_evidence format out")
 
     s = sub.add_parser("signal", help="cosine-sum frequency analysis")
-    s.add_argument("--init", type=parse_point_list, default=[(1,), (2,)])
+    s.add_argument("--init", type=_arg(parse_point_list), default=[(1,), (2,)])
     s.add_argument("--terms", type=int, default=50000)
-    s.add_argument("--alpha", type=_rational, help="evaluate at one frequency")
+    s.add_argument("--alpha", type=_arg(_rational), help="evaluate at one frequency")
     s.add_argument("--coarse-step", type=float, default=_COARSE_STEP, dest="coarse_step")
     s.add_argument("--csv-out", dest="csv_out", help="write coarse scan CSV")
     s.add_argument("--csv-points", type=int, default=4000, dest="csv_points")
-    s.add_argument("--set-init", type=parse_point_list, dest="set_init",
+    s.add_argument("--set-init", type=_arg(parse_point_list), dest="set_init",
                    help="planar config for the fixed-row exploratory mode")
     s.add_argument("--row", type=int, default=0)
     add_bound(s)
@@ -558,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("oracle")
     v.add_argument("--m", type=int)
     v.add_argument("--n", type=int)
-    v.add_argument("--init", type=parse_point_list)
+    v.add_argument("--init", type=_arg(parse_point_list))
     add_bound(v)
     v.set_defaults(func=_cmd_verify, reads=_verify_reads, parser=v)
 
@@ -576,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=_cmd_embed, reads=_embed_reads, parser=m)
 
     n = sub.add_parser("normalize", help="axis normalization of a planar config")
-    n.add_argument("--init", type=parse_point_list, required=True)
+    n.add_argument("--init", type=_arg(parse_point_list), required=True)
     n.add_argument("--out")
     n.set_defaults(func=_cmd_normalize, reads=lambda args: "init out", parser=n)
 

@@ -9,12 +9,21 @@ the resulting point set does not depend on which admissible f is used, so
 the coordinate sum is the canonical choice here (integer levels, exact
 arithmetic).
 
-One fast engine and one oracle are provided: :func:`generate` (incremental
-representation counting on a dense numpy grid, coordinate-sum levels, any
-other size function as a filter over a box that holds the bound) and
-:func:`generate_reference` (definition-faithful brute force, recounting all
-pairwise sums from scratch at every step, for any size function).  They must
-agree on every input; the test suite checks this on many small instances.
+:func:`generate` counts representations by coordinate sum, and serves any
+other size function as a filter over a box that holds the bound.  It picks
+one of two engines from the bound and the initials alone.  A 2-D box is
+swept column by column along its shorter axis x (axis 0 on a tie) when at
+most one initial has x = 0 and the column spectra fit in the bytes the
+level grid may take (:func:`_generate_columns`: cross-column counts from
+FFT spectra, in-column counts from a two-state scan).  Every other bound
+(d != 2, a level bound, a box that fails the rule) goes to the level
+engine (:func:`_generate_levels`: saturating counts on one flat numpy
+grid, level by level).  Both are exact: every summand of a point lies
+below it in each coordinate, so any order that reaches a point after all
+points below it admits the same set.  :func:`generate_reference` is the
+definition-faithful brute force, recounting all pairwise sums from scratch
+at every step, for any size function; the engines must agree with it on
+every input, and the test suite checks this on many small instances.
 """
 
 from __future__ import annotations
@@ -40,12 +49,13 @@ from .errors import (
 
 Point = tuple[int, ...]
 
-# Largest dense grid, in allocated cells.  A box grid is padded (see
-# _generate_dense): a square 2-D box allocates about 2x its cells, a d-D cube
+# Largest level-engine grid, in allocated cells.  A box grid is padded (see
+# _level_grid): a square 2-D box allocates about 2x its cells, a d-D cube
 # up to 2^(d-1)x; a level bound allocates exactly its (c+1)^d cells.  The
 # counts take 1 B per cell on a box and 2 B on a level bound, and the box
 # branch's member grid 1 B more, so the limit is 300 MB; a larger request
-# raises GridTooLarge before anything is allocated.
+# raises GridTooLarge before anything is allocated, whichever engine would
+# run.  The column sweep runs only where its spectra fit in these 300 MB.
 _DENSE_CELL_LIMIT = 150_000_000
 
 # Count dtype of the dense engine per bound kind.  The counts saturate (see
@@ -68,10 +78,8 @@ _CLAMP_CHUNK = 1 << 16
 # otherwise.  Measured with uint8 counts (2-vCPU Xeon, numpy 2.4, timeit): the
 # add costs about 1.8 us plus 0.06 ns per cell, the gather (an add, a compare,
 # a masked take, a scatter) about 6 us plus 6.6 ns per member once n is in the
-# thousands; 6.6 / 0.06 is about 110.  Median of four interleaved runs: from
-# 128 to 2048 the 2-D column boxes and (200,200) time within 7 %, 32 is 27 %
-# slower on (60,2000); on the 3-D (50,50,50) box 128 is fastest, 512 is 10 %
-# and adds alone 30 % slower.
+# thousands; 6.6 / 0.06 is about 110.  Median of four interleaved runs on the
+# 3-D (50,50,50) box: 128 is fastest, 512 is 10 % and adds alone 30 % slower.
 _SLICE_PER_MEMBER = 128
 
 
@@ -288,7 +296,7 @@ def generate(config: InitialConfig, bound: Bound, sizefn: SizeFunction | None = 
     closed, so any f is served by the coordinate-sum engine over a box that
     holds the bound, followed by a filter on f.  Raises
     :class:`GridTooLarge` before allocating when the grid for that box
-    (padded, see :func:`_generate_dense`) has more than
+    (padded, see :func:`_level_grid`) has more than
     ``_DENSE_CELL_LIMIT`` cells.
     """
     sizefn = sizefn or SizeFunction.coordinate_sum()
@@ -346,13 +354,51 @@ def _clamp(counts, twos) -> None:
 
 
 def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
-    """Coordinate-sum engine: representation counts on one flat numpy grid.
+    """Coordinate-sum engine: the column sweep on the 2-D boxes that
+    :func:`_sweep_axis` admits, the level engine on every other bound.
+
+    Both refuse a bound whose level-engine grid has more than
+    ``_DENSE_CELL_LIMIT`` cells before allocating, so the choice never
+    changes which requests are refused.
+    """
+    _level_grid(config.dim, bound)
+    x = _sweep_axis(config, bound)
+    if x is None:
+        return _generate_levels(config, bound)
+    return _generate_columns(config, bound, x)
+
+
+def _level_grid(d: int, bound: Bound) -> tuple:
+    """(limits, lmax, dims, radix) of the level engine's padded grid.
 
     Axis 0 keeps its n_0 = l_0 + 1 rows; every inner axis k gets the radix
     R_k = min(2 n_k - 1, lmax + 1), where lmax is the top level (the sum of
-    the box limits, or the cap).  A level bound has n_k = lmax + 1, so
-    R_k = n_k there.  On a box, a new member u at flat index f adds the
-    member grid to the counts by one contiguous add,
+    the box limits, or the cap).  Raises :class:`GridTooLarge` when the
+    grid has more than ``_DENSE_CELL_LIMIT`` cells.
+    """
+    if bound.kind == "box":
+        limits = bound.limits
+        lmax = sum(limits)
+    else:
+        limits = (int(bound.cap),) * d
+        lmax = limits[0]
+    dims = tuple(l + 1 for l in limits)
+    radix = dims[:1] + tuple(min(2 * n - 1, lmax + 1) for n in dims[1:])
+    cells = prod(radix)
+    if cells > _DENSE_CELL_LIMIT:
+        raise GridTooLarge(
+            f"the {'x'.join(map(str, dims))} box takes a {'x'.join(map(str, radix))} "
+            f"grid of {cells} cells, over the limit of {_DENSE_CELL_LIMIT}"
+        )
+    return limits, lmax, dims, radix
+
+
+def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
+    """Level engine: representation counts on one flat numpy grid.
+
+    The grid is laid out by :func:`_level_grid`; a level bound has
+    n_k = lmax + 1, so R_k = n_k there.  On a box, a new member u at flat
+    index f adds the member grid to the counts by one contiguous add,
     ``counts[f:last + 1] += member[:last + 1 - f]`` (``last`` is the far
     corner), or adds 1 at ``f + g`` for each earlier member's flat index
     g <= last - f.  Both are exact.  The padding cells of ``member`` are 0.
@@ -367,22 +413,9 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
     with u all lie in the bound.
     """
     d = config.dim
-    if bound.kind == "box":
-        limits = bound.limits
-        lmax = sum(limits)
-        cap = None
-    else:
-        cap = int(bound.cap)
-        limits = (cap,) * d
-        lmax = cap
-    dims = tuple(l + 1 for l in limits)
-    radix = dims[:1] + tuple(min(2 * n - 1, lmax + 1) for n in dims[1:])
+    limits, lmax, dims, radix = _level_grid(d, bound)
+    cap = None if bound.kind == "box" else lmax
     cells = prod(radix)
-    if cells > _DENSE_CELL_LIMIT:
-        raise GridTooLarge(
-            f"the {'x'.join(map(str, dims))} box takes a {'x'.join(map(str, radix))} "
-            f"grid of {cells} cells, over the limit of {_DENSE_CELL_LIMIT}"
-        )
     stride_list = [prod(radix[i + 1:]) for i in range(d)]
     last = sum(map(operator.mul, limits, stride_list))
 
@@ -479,6 +512,131 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
     rest = mflats[:n]
     for i, s in enumerate(stride_list):
         coords[:, i], rest = np.divmod(rest, s)
+    coords.flags.writeable = False
+    return UlamSet(config, SizeFunction.coordinate_sum(), bound, coords)
+
+
+def _sweep_axis(config: InitialConfig, bound: Bound) -> int | None:
+    """The axis x that :func:`_generate_columns` sweeps, or None.
+
+    Only a 2-D box is swept, only along its shorter axis (axis 0 on a tie),
+    and only when at most one initial has x = 0 and the column spectra,
+    16 (l_x + 1)(N/2 + 1) bytes, fit in the 2 B per cell that
+    ``_DENSE_CELL_LIMIT`` allows the level engine.  Sweeping the longer axis
+    is exact too, but slower than the level engine: (2,0),(3,0),(0,1) on
+    the (3000,70) box took 1.31 s against 0.12 s (in-process, 2-vCPU Xeon).
+    """
+    if config.dim != 2 or bound.kind != "box":
+        return None
+    x = int(bound.limits[1] < bound.limits[0])
+    lx, ly = bound.limits[x], bound.limits[1 - x]
+    if sum(p[x] == 0 for p in config.initials) > 1:
+        return None
+    if 16 * (lx + 1) * (_fft_size(ly) // 2 + 1) > 2 * _DENSE_CELL_LIMIT:
+        return None
+    return x
+
+
+def _fft_size(ly: int) -> int:
+    """FFT length N for columns y = 0..ly: the least 2^a 3^b 5^c above 2 ly,
+    so a circular convolution of two columns wraps nothing onto y <= ly.
+    pocketfft is fast on such lengths, and they store up to a quarter less
+    than a power of two."""
+    best = 1 << (2 * ly).bit_length()
+    p5 = 1
+    while p5 < best:
+        p3 = p5
+        while p3 < best:
+            best = min(best, p3 << max(0, (2 * ly // p3).bit_length()))
+            p3 *= 3
+        p5 *= 5
+    return best
+
+
+def _generate_columns(config: InitialConfig, bound: Bound, x: int) -> UlamSet:
+    """Column sweep of a 2-D box: columns x = X in turn, each upward in y.
+
+    Every summand of a point p lies below p in each coordinate, so any
+    order that reaches p after every point below it admits the same set as
+    the levels do.  Column 0 holds only its initial, if any: a sum has
+    x = 0 only if both summands do, and at most one initial has x = 0.
+    A pair u + v = (X, Y), u != v, either crosses columns, x_1 + x_2 = X
+    with 0 < x_1 <= x_2, or joins the column-0 member (0, delta) to
+    (X, Y - delta).
+
+    Cross pairs come from the rfft spectra S_x of the finished nonempty
+    columns (an empty column has none): the inverse transform of
+    sum_{x_1 < x_2} S_x1 S_x2 + S_h^2 / 2 (h = X / 2, X even), minus half
+    the member bit of (h, Y / 2) at even Y, counts them.  The rounding is
+    exact: the float64 FFT-convolution error is about
+    u log2(N) (l_x / 2)(l_y + 1) (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 24.1), below 1e-5 on every box that
+    :func:`_sweep_axis` admits, and a count 1/4 or more off an integer
+    raises RuntimeError, an internal error.
+
+    With the cross count c, (X, Y) is a member iff it is an initial or
+    c + [(X, Y - delta) is a member] == 1.  Along each chain Y = r mod delta
+    that is a two-state recurrence: c = 0 keeps the state of Y - delta,
+    c = 1 flips it, and c >= 2 (state 0) or an initial (state 1) resets
+    it.  A row of resets to 0 is put before the box, and each state is its
+    last reset's value XOR the parity of the flips since, for every chain
+    at once by one cumsum and one maximum.accumulate.  Without a column-0
+    member a point is a member iff it is an initial or c == 1.
+    """
+    y = 1 - x
+    lx, ly = bound.limits[x], bound.limits[y]
+    n = ly + 1
+    size = _fft_size(ly)
+    grid = np.zeros((lx + 1, n), dtype=bool)  # members, one row per column
+    for p in config.initials:
+        grid[p[x], p[y]] = True
+    spectra = [None] * lx  # of columns 1..lx-1, kept for the nonempty ones
+    zero = np.flatnonzero(grid[0])
+    delta = int(zero[0]) if zero.size else 0
+    if delta:
+        rows = -(-n // delta) + 1
+        row = np.arange(rows)[:, None]
+        count = np.zeros(rows * delta)
+        init = np.zeros(rows * delta, dtype=bool)
+
+    for X in range(1, lx + 1):
+        pairs = np.zeros(size // 2 + 1, dtype=np.complex128)
+        for x1 in range(1, (X + 1) // 2):
+            s1, s2 = spectra[x1], spectra[X - x1]
+            if s1 is not None and s2 is not None:
+                pairs += s1 * s2
+        if X % 2 == 0 and spectra[X // 2] is not None:
+            pairs += 0.5 * spectra[X // 2] ** 2
+        a = np.fft.irfft(pairs, size)[:n]
+        if X % 2 == 0:
+            a[::2] -= 0.5 * grid[X // 2, :(n + 1) // 2]
+        c = np.rint(a)
+        off = np.abs(a - c).max()
+        if off >= 0.25:
+            raise RuntimeError(
+                f"internal error: a pair count of column {X} is {off} off an integer"
+            )
+        if not delta:
+            grid[X] |= c == 1
+        else:
+            count[delta:delta + n] = c
+            init[delta:delta + n] = grid[X]
+            c2 = count.reshape(rows, delta)
+            i2 = init.reshape(rows, delta)
+            reset = (c2 >= 2) | i2
+            reset[0] = True
+            par = np.cumsum((c2 == 1) & ~reset, axis=0, dtype=np.uint8) & 1
+            last = np.maximum.accumulate(np.where(reset, row, 0), axis=0)
+            state = np.take_along_axis(i2 ^ par, last, axis=0) ^ par
+            grid[X] = state.ravel()[delta:delta + n]
+        if X < lx and grid[X].any():
+            spectra[X] = np.fft.rfft(grid[X], size)
+
+    del spectra  # freed before the coordinates are built, so the two peaks do not add
+    cx, cy = np.nonzero(grid)
+    coords = np.empty((cx.size, 2), dtype=np.int64)
+    coords[:, x], coords[:, y] = cx, cy
+    coords = coords[np.lexsort((coords[:, 1], coords[:, 0], cx + cy))]
     coords.flags.writeable = False
     return UlamSet(config, SizeFunction.coordinate_sum(), bound, coords)
 

@@ -336,18 +336,37 @@ def interior_members(uset: UlamSet) -> list:
     x_i = 2; interior points have every coordinate >= 1 and none equal
     to 2.
     """
-    c = uset.coords
-    return list(map(tuple, c[((c >= 1) & (c != 2)).all(axis=1)].tolist()))
+    return list(map(tuple, _interior_rows(uset.coords).tolist()))
+
+
+def _interior_rows(c: np.ndarray) -> np.ndarray:
+    return c[((c >= 1) & (c != 2)).all(axis=1)]
 
 
 def angle_ranking(uset: UlamSet, interior_only: bool = False) -> list:
     """Members sorted by descending angle to the all-ones direction.
 
     Angles are compared exactly through the squared cosine
-    (sum p_i)^2 / (d * |p|^2), a rational in the coordinates, so ties are
-    decided without floating point; the returned angle is a float in
-    radians for reporting only.
+    s^2 / (d |p|^2), s = sum p_i, a rational in the coordinates, with ties
+    in lexicographic order; the returned angle is a float in radians for
+    reporting only.  While every d |p|^2 < 2^26, two distinct such
+    rationals in (0, 1] differ by more than 2^-52, more than an ulp, and
+    IEEE division rounds correctly, so the float quotients sort them
+    exactly; above that bound the rationals are sorted as Fractions.
     """
-    pts = interior_members(uset) if interior_only else map(tuple, uset.coords.tolist())
-    ranked = sorted((Fraction(sum(p) ** 2, uset.dim * sum(c * c for c in p)), p) for p in pts)
-    return [(p, math.acos(min(1.0, math.sqrt(float(c2))))) for c2, p in ranked]
+    c = _interior_rows(uset.coords) if interior_only else uset.coords
+    num = c.sum(axis=1) ** 2
+    den = uset.dim * (c * c).sum(axis=1)
+    # |c| < 2^13 also keeps the int64 squares from overflowing, and a zero
+    # row is left to Fraction, which refuses it
+    if c.size and not (np.abs(c).max() < 1 << 13 and den.min() > 0 and den.max() < 1 << 26):
+        ranked = sorted(
+            (Fraction(sum(p) ** 2, uset.dim * sum(x * x for x in p)), p)
+            for p in map(tuple, c.tolist())
+        )
+        ranked = [(p, float(c2)) for c2, p in ranked]
+    else:
+        key = num / den
+        order = np.lexsort(tuple(c[:, ::-1].T) + (key,))
+        ranked = zip(map(tuple, c[order].tolist()), key[order].tolist())
+    return [(p, math.acos(min(1.0, math.sqrt(k)))) for p, k in ranked]

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -609,6 +610,36 @@ def test_malformed_point_list_exits_2(monkeypatch, capsys, argv):
     _fail_on_work(monkeypatch)
     _fail_on_work(monkeypatch, ("structurally_equivalent",))
     _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["signal", "--init", "1,2", "--terms", "50", "--alpha", "1/0"],
+     "argument --alpha: zero denominator in '1/0'"),
+    (["generate", "--init", "(1,0),(0,1", "--box", "3,3"],
+     "argument --init: malformed vector list '(1,0),(0,1'"),
+    (["generate", "--init", "(1,0),(0,1)", "--box", "3,3", "--size", "weighted",
+      "--weights", "1/0,1"], "argument --weights: zero denominator in '1/0'"),
+    (["columns", "--init", "(2,0),(3,0),(0,1)", "--box", "70,x"],
+     "argument --box: invalid literal for int() with base 10: 'x'"),
+    (["signal", "--set-init", " , ", "--box", "5,5"],
+     "argument --set-init: could not parse point list from ' , '"),
+], ids=["alpha", "init", "weights", "box", "set-init"])
+def test_bad_typed_values_name_the_reason(monkeypatch, capsys, argv, reason):
+    _fail_on_work(monkeypatch)
+    err = _usage_error(capsys, argv)
+    assert reason in err
+    assert not re.search(r"invalid \w+ value", err)
+
+
+@pytest.mark.parametrize("target", ["lattice", "line"])
+def test_a_bare_list_embeds_as_one_dimensional_points(capsys, target):
+    outs = []
+    for init in ("1,2", "(1),(2)"):
+        assert run(["embed", "--init", init, "--target", target]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert [v.entries for v in parse_symbolic_vectors("1,2", {})] == [
+        v.entries for v in parse_symbolic_vectors("(1),(2)", {})]
 
 
 _COLUMNS = ["columns", "--init", "(2,0),(3,0),(0,1)", "--box", "70,3000"]

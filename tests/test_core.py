@@ -420,6 +420,84 @@ def test_padded_layout_exact_on_elongated_boxes(dim, data):
         assert _generate_dense(cfg, bound).points == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_level_engine_exact_on_2d_boxes_with_frequent_clamps(data):
+    """The level engine alone on 2-D boxes, which generate now sweeps by
+    columns where it can, under the clamp and update patches of
+    test_dense_engine_exact_with_frequent_clamps."""
+    raw = data.draw(_points_strategy(2, max_coord=3), label="initials")
+    cfg = validate_config(raw, 2)
+    bound = Bound.box([data.draw(st.integers(max(p[i] for p in raw), 12)) for i in range(2)])
+    want = generate_reference(cfg, bound).points
+    with pytest.MonkeyPatch.context() as mp:
+        clamp = data.draw(st.integers(1, 3), label="clamp")
+        mp.setattr(core, "_CLAMP_EVERY", {"box": clamp, "level": clamp})
+        mp.setattr(core, "_CLAMP_CHUNK", data.draw(st.integers(1, 7), label="chunk"))
+        mp.setattr(
+            core, "_SLICE_PER_MEMBER",
+            data.draw(st.sampled_from([0, core._SLICE_PER_MEMBER, 10**9]), label="c"),
+        )
+        assert core._generate_levels(cfg, bound).points == want
+
+
+def _initials_on_axes(data):
+    """2-D initials with 0, 1 or 2 points on each axis and up to two off
+    them, at least one in all."""
+    on_y_axis = st.integers(1, 4).map(lambda b: (0, b))
+    on_x_axis = st.integers(1, 4).map(lambda a: (a, 0))
+    off = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    raw = []
+    for points, label in ((on_y_axis, "x = 0"), (on_x_axis, "y = 0"), (off, "off the axes")):
+        raw += data.draw(st.lists(points, max_size=2, unique=True), label=label)
+    assume(raw)
+    return raw
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_column_sweep_matches_reference_on_tall_and_wide_boxes(data):
+    """generate sweeps a 2-D box along its shorter axis (axis 0 on a tie)
+    when at most one initial is 0 on that axis, and runs the level engine
+    otherwise; on tall, wide and square boxes every choice gives the
+    reference's points."""
+    raw = _initials_on_axes(data)
+    cfg = validate_config(raw, 2)
+    short = data.draw(st.integers(max(max(p) for p in raw), 6), label="short side")
+    long = data.draw(st.integers(short, 22), label="long side")
+    tall = data.draw(st.booleans(), label="tall")
+    bound = Bound.box((short, long) if tall else (long, short))
+    x = 0 if tall or short == long else 1
+    want = x if sum(p[x] == 0 for p in raw) <= 1 else None
+    assert core._sweep_axis(cfg, bound) == want
+    assert generate(cfg, bound).points == generate_reference(cfg, bound).points
+
+
+def test_longer_axis_is_never_swept(monkeypatch):
+    """Two initials with y = 0 bar the sweep along the shorter axis y of a
+    wide box; the longer axis x would qualify, but the level engine runs."""
+    cfg = validate_config([(2, 0), (3, 0), (0, 1)], 2)
+    bound = Bound.box((24, 5))
+    want = generate_reference(cfg, bound).points
+    assert core._sweep_axis(cfg, bound) is None
+
+    def no_sweep(*args):
+        raise AssertionError("the column sweep ran")
+
+    monkeypatch.setattr(core, "_generate_columns", no_sweep)
+    assert generate(cfg, bound).points == want
+
+
+def test_column_sweep_refuses_an_inexact_pair_count(monkeypatch):
+    """A pair count a quarter or more off an integer raises an internal
+    error instead of being rounded."""
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+    cfg = validate_config([(2, 0), (3, 0), (0, 1)], 2)
+    with pytest.raises(RuntimeError, match="internal error"):
+        generate(cfg, Bound.box((10, 40)))
+
+
 def test_clamp_interval_is_dtype_max_minus_two():
     """Each branch clamps its saturating counts every max - 2 admissions:
     uint8 counts on a box, uint16 on a level bound."""
@@ -448,6 +526,16 @@ def test_dense_engine_matches_frozen_checksums(raw, bound, size, digest):
     text = ";".join(",".join(map(str, p)) for p in s.points)
     assert len(s) == size
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_column_box_140_12000_matches_its_frozen_checksum():
+    """sha256 as in DENSE_SHA256, computed by the level engine before 2-D
+    boxes were swept by columns."""
+    s = generate(validate_config([(2, 0), (3, 0), (0, 1)], 2), Bound.box((140, 12000)))
+    text = ";".join(",".join(map(str, p)) for p in s.points)
+    assert len(s) == 190550
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c9f277fae03186c81755830a2ade453f7357d2cddc7f57b9942b9fda1042216c")
 
 
 _UNITS_3D = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -533,6 +621,29 @@ def test_grid_at_the_cell_limit_is_generated(monkeypatch):
     monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", 31)
     with pytest.raises(GridTooLarge):
         generate(cfg, Bound.box((3, 4)))
+
+
+def test_column_spectra_over_the_byte_cap_fall_back_to_the_level_engine(monkeypatch):
+    """The 5 x 12 box's level grid has 6 x 18 = 108 cells and its column
+    spectra 16 * 6 * (25 // 2 + 1) = 1248 bytes.  With room for the grid
+    alone, 2 B per cell, the level engine runs; the sweep needs a cell
+    limit of 624."""
+    cfg = validate_config([(1, 0), (0, 1)], 2)
+    bound = Bound.box((5, 12))
+    want = generate_reference(cfg, bound).points
+    sweep = core._generate_columns
+    ran = []
+
+    def recording(*args):
+        ran.append(True)
+        return sweep(*args)
+
+    monkeypatch.setattr(core, "_generate_columns", recording)
+    for limit, swept in ((108, False), (623, False), (624, True)):
+        monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", limit)
+        ran.clear()
+        assert generate(cfg, bound).points == want
+        assert bool(ran) == swept, limit
 
 
 @pytest.mark.parametrize("dim,cap", [(2, 9), (3, 6), (4, 4)])

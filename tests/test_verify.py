@@ -402,6 +402,28 @@ def test_angle_ranking_matches_the_former_two_key_walk(s):
     assert angle_ranking(s) == former
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_angle_ranking_orders_as_fractions_across_the_float_bound(data):
+    """Sets with every d |p|^2 below 2^26, ranked by float quotients, and
+    sets with larger coordinates, ranked by Fractions, both give the
+    Fraction order, ties (multiples of one point) in lexicographic order."""
+    dim = data.draw(st.integers(1, 4), label="dim")
+    coord = st.one_of(st.integers(0, 6), st.integers(0, 9000))
+    pts = data.draw(st.lists(st.tuples(*[coord] * dim).filter(any), max_size=30, unique=True))
+    pts += [tuple(k * c for c in p) for p in pts[:3] for k in (2, 3)]
+    pts = list(dict.fromkeys(pts))
+    s = core.UlamSet(validate_config([(1,) * dim], dim), SizeFunction.coordinate_sum(),
+                     Bound.box((27000,) * dim), tuple(pts))
+
+    def key(p):
+        return Fraction(sum(p) ** 2, dim * sum(c * c for c in p))
+
+    former = [(p, math.acos(min(1.0, math.sqrt(float(key(p))))))
+              for p in sorted(pts, key=lambda p: (key(p), p))]
+    assert angle_ranking(s) == former
+
+
 # ---------------------------------------------------------------------------
 # the array predicates and the grid diff against the references
 
