@@ -287,13 +287,13 @@ def embed_one_dimensional(config) -> list[PrimeLogReal]:
 
     The map is additive, strictly monotone in every coordinate, and
     injective on lattice points, so the one-dimensional greedy process on
-    the images replays the lattice process exactly.
+    the images replays the lattice process exactly.  Plain vectors are
+    checked by :func:`validate_config` first.
     """
-    if isinstance(config, InitialConfig):
-        pts = config.initials
-    else:
-        pts = [tuple(int(c) for c in v) for v in config]
-    return [PrimeLogReal(tuple(p)) for p in pts]
+    if not isinstance(config, InitialConfig):
+        vecs = list(config)
+        config = validate_config(vecs, len(vecs[0]) if vecs else 1)
+    return [PrimeLogReal(p) for p in config.initials]
 
 
 class PrimeProductSize:

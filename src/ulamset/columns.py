@@ -88,7 +88,6 @@ def detect_eventual_period(
     word: str,
     max_period: int = DEFAULT_MAX_PERIOD,
     min_evidence: int = DEFAULT_MIN_EVIDENCE,
-    edge_guard: bool = False,
 ) -> PeriodFit | None:
     """Smallest (preperiod, period) pair consistent with the whole word.
 
@@ -98,13 +97,12 @@ def detect_eventual_period(
     preperiod-first ordering matters: a long-period column can end in a
     run of zeros at the box edge, which a period-one "empty" fit would
     otherwise swallow.  A fit needs the periodic suffix to cover at least
-    ``min_evidence`` full periods, plus one more when ``edge_guard`` is
-    set.  Returns None when inconclusive.
+    ``min_evidence`` full periods.  Returns None when inconclusive.
     """
     _check_word(word, "01")
     check_column_args(max_period, min_evidence)
     words = np.frombuffer(word.encode("ascii"), dtype=np.uint8)[None]
-    starts, periods = _grid_periods(words, max_period, min_evidence + edge_guard)
+    starts, periods = _grid_periods(words, max_period, min_evidence)
     return _fit(words[0], int(starts[0]), int(periods[0]))
 
 
@@ -219,12 +217,13 @@ def columns_report(
     Each column is swept along y, its words built per residue class of y
     modulo the step, and the periods of all columns of one residue class
     are detected together on the member grid, by the rule of
-    :func:`detect_eventual_period` with its edge guard.  Two checks run over
-    the conclusive profiles, and every failure is reported rather than
-    dropped: the odd part of the detected minimal period (in units of y)
-    must divide the step, and each period must equal or double the
-    period of some earlier column (the empty column over index 0 anchors
-    the lineage with period 1).
+    :func:`detect_eventual_period` with one more period of evidence, a
+    guard against the box edge.  Two checks run over the conclusive
+    profiles, and every failure is reported rather than dropped: the odd
+    part of the detected minimal period (in units of y) must divide the
+    step, and each period must equal or double the period of some earlier
+    column (the empty column over index 0 anchors the lineage with
+    period 1).
     """
     if uset.dim != 2 or uset.bound.kind != "box":
         raise RangeExceedsBound("column reports need a box-bounded planar set")

@@ -13,14 +13,14 @@ arithmetic).
 other size function as a filter over a box that holds the bound.  It picks
 one of two engines from the bound and the initials alone.  A 2-D box is
 swept column by column along its shorter axis x (axis 0 on a tie) when at
-most one initial has x = 0 and the column spectra fit in the bytes the
-level grid may take (:func:`_generate_columns`: cross-column counts from
-FFT spectra, in-column counts from a two-state scan).  Every other bound
-(d != 2, a level bound, a box that fails the rule) goes to the level
-engine (:func:`_generate_levels`: saturating counts on one flat numpy
-grid, level by level).  Both are exact: every summand of a point lies
-below it in each coordinate, so any order that reaches a point after all
-points below it admits the same set.  :func:`generate_reference` is the
+most one initial has x = 0 and the column spectra fit in ``_MAX_BYTES``
+(:func:`_generate_columns`: cross-column counts from FFT spectra,
+in-column counts from a two-state scan).  Every other bound (d != 2, a
+level bound, a box that fails the rule) goes to the level engine
+(:func:`_generate_levels`: saturating counts on one flat numpy grid,
+level by level).  Both are exact: every summand of a point lies below it
+in each coordinate, so any order that reaches a point after all points
+below it admits the same set.  :func:`generate_reference` is the
 definition-faithful brute force, recounting all pairwise sums from scratch
 at every step, for any size function; the engines must agree with it on
 every input, and the test suite checks this on many small instances.
@@ -49,14 +49,9 @@ from .errors import (
 
 Point = tuple[int, ...]
 
-# Largest level-engine grid, in allocated cells.  A box grid is padded (see
-# _level_grid): a square 2-D box allocates about 2x its cells, a d-D cube
-# up to 2^(d-1)x; a level bound allocates exactly its (c+1)^d cells.  The
-# counts take 1 B per cell on a box and 2 B on a level bound, and the box
-# branch's member grid 1 B more, so the limit is 300 MB; a larger request
-# raises GridTooLarge before anything is allocated, whichever engine would
-# run.  The column sweep runs only where its spectra fit in these 300 MB.
-_DENSE_CELL_LIMIT = 150_000_000
+# Most bytes a count grid may take.  The level grid, the column spectra and
+# the cyclic grid each state their bytes to _check_bytes before they allocate.
+_MAX_BYTES = 300_000_000
 
 # Count dtype of the dense engine per bound kind.  The counts saturate (see
 # _generate_dense), so a clamp every max - 2 admissions keeps them exact.
@@ -295,9 +290,8 @@ def generate(config: InitialConfig, bound: Bound, sizefn: SizeFunction | None = 
     The set does not depend on the admissible f, and a box is downward
     closed, so any f is served by the coordinate-sum engine over a box that
     holds the bound, followed by a filter on f.  Raises
-    :class:`GridTooLarge` before allocating when the grid for that box
-    (padded, see :func:`_level_grid`) has more than
-    ``_DENSE_CELL_LIMIT`` cells.
+    :class:`GridTooLarge` before allocating when the level grid for that
+    bound (see :func:`_level_grid`) takes more than ``_MAX_BYTES``.
     """
     sizefn = sizefn or SizeFunction.coordinate_sum()
     sizefn.check_dim(config.dim)
@@ -357,9 +351,9 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
     """Coordinate-sum engine: the column sweep on the 2-D boxes that
     :func:`_sweep_axis` admits, the level engine on every other bound.
 
-    Both refuse a bound whose level-engine grid has more than
-    ``_DENSE_CELL_LIMIT`` cells before allocating, so the choice never
-    changes which requests are refused.
+    Both refuse a bound whose level grid takes more than ``_MAX_BYTES``
+    before allocating, so the choice never changes which requests are
+    refused.
     """
     _level_grid(config.dim, bound)
     x = _sweep_axis(config, bound)
@@ -374,23 +368,28 @@ def _level_grid(d: int, bound: Bound) -> tuple:
     Axis 0 keeps its n_0 = l_0 + 1 rows; every inner axis k gets the radix
     R_k = min(2 n_k - 1, lmax + 1), where lmax is the top level (the sum of
     the box limits, or the cap).  Raises :class:`GridTooLarge` when the
-    grid has more than ``_DENSE_CELL_LIMIT`` cells.
+    grid takes more than ``_MAX_BYTES``.
     """
     if bound.kind == "box":
         limits = bound.limits
         lmax = sum(limits)
+        request = f"the {'x'.join(str(l + 1) for l in limits)} box"
     else:
         limits = (int(bound.cap),) * d
         lmax = limits[0]
+        request = f"level {bound.cap} in dimension {d}"
     dims = tuple(l + 1 for l in limits)
     radix = dims[:1] + tuple(min(2 * n - 1, lmax + 1) for n in dims[1:])
-    cells = prod(radix)
-    if cells > _DENSE_CELL_LIMIT:
-        raise GridTooLarge(
-            f"the {'x'.join(map(str, dims))} box takes a {'x'.join(map(str, radix))} "
-            f"grid of {cells} cells, over the limit of {_DENSE_CELL_LIMIT}"
-        )
+    # the counts, and on a box the member grid in the same dtype
+    per_cell = np.dtype(_COUNT_DTYPE[bound.kind]).itemsize * (1 + (bound.kind == "box"))
+    _check_bytes(per_cell * prod(radix), f"{request}, a {'x'.join(map(str, radix))} grid")
     return limits, lmax, dims, radix
+
+
+def _check_bytes(nbytes: int, request: str) -> None:
+    """Raise :class:`GridTooLarge`, naming ``request``, if ``nbytes`` > ``_MAX_BYTES``."""
+    if nbytes > _MAX_BYTES:
+        raise GridTooLarge(f"{request}: {nbytes} bytes, over the limit of {_MAX_BYTES}")
 
 
 def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
@@ -521,10 +520,10 @@ def _sweep_axis(config: InitialConfig, bound: Bound) -> int | None:
 
     Only a 2-D box is swept, only along its shorter axis (axis 0 on a tie),
     and only when at most one initial has x = 0 and the column spectra,
-    16 (l_x + 1)(N/2 + 1) bytes, fit in the 2 B per cell that
-    ``_DENSE_CELL_LIMIT`` allows the level engine.  Sweeping the longer axis
-    is exact too, but slower than the level engine: (2,0),(3,0),(0,1) on
-    the (3000,70) box took 1.31 s against 0.12 s (in-process, 2-vCPU Xeon).
+    16 (l_x + 1)(N/2 + 1) bytes, fit in ``_MAX_BYTES``.  Sweeping the
+    longer axis is exact too, but slower than the level engine:
+    (2,0),(3,0),(0,1) on the (3000,70) box took 1.31 s against 0.12 s
+    (in-process, 2-vCPU Xeon).
     """
     if config.dim != 2 or bound.kind != "box":
         return None
@@ -532,7 +531,9 @@ def _sweep_axis(config: InitialConfig, bound: Bound) -> int | None:
     lx, ly = bound.limits[x], bound.limits[1 - x]
     if sum(p[x] == 0 for p in config.initials) > 1:
         return None
-    if 16 * (lx + 1) * (_fft_size(ly) // 2 + 1) > 2 * _DENSE_CELL_LIMIT:
+    try:
+        _check_bytes(16 * (lx + 1) * (_fft_size(ly) // 2 + 1), "the column spectra")
+    except GridTooLarge:
         return None
     return x
 

@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _CLAMP_CHUNK, _CLAMP_EVERY, _COUNT_DTYPE, _DENSE_CELL_LIMIT, _clamp
-from .errors import BoundTooSmall, DuplicateVector, GridTooLarge, InconclusiveBound, InvalidInitials
+from .core import _CLAMP_CHUNK, _CLAMP_EVERY, _COUNT_DTYPE, _check_bytes, _clamp
+from .errors import BoundTooSmall, DuplicateVector, InconclusiveBound, InvalidInitials
 
 CyclicPoint = tuple[int, int]  # (x, residue)
 
@@ -72,7 +72,7 @@ def generate_cyclic(initials, modulus: int, x_bound: int) -> CyclicUlamSet:
     3. No pair sum reaches a row above 2 top, top the largest x among the
        initials and the members so far, so growth stops at x > 2 top.
 
-    Raises :class:`GridTooLarge` before allocating over ``_DENSE_CELL_LIMIT`` cells.
+    Raises :class:`GridTooLarge` before allocating over ``core._MAX_BYTES``.
     """
     if modulus < 1:
         raise InvalidInitials(f"modulus must be >= 1, got {modulus}")
@@ -98,9 +98,8 @@ def generate_cyclic(initials, modulus: int, x_bound: int) -> CyclicUlamSet:
         raise BoundTooSmall(f"x_bound {x_bound} excludes initial {max(inits)}")
     width = 2 * modulus - 1
     cells = (x_bound + 1) * width
-    if cells > _DENSE_CELL_LIMIT:
-        raise GridTooLarge(f"x_bound {x_bound} mod {modulus} takes a {x_bound + 1}x{width} "
-                           f"grid of {cells} cells, over the limit of {_DENSE_CELL_LIMIT}")
+    # uint8 counts and uint8 members: 2 B per cell
+    _check_bytes(2 * cells, f"x_bound {x_bound} mod {modulus}, a {x_bound + 1}x{width} grid")
     counts = np.zeros(cells, dtype=_COUNT_DTYPE["box"])
     member = np.zeros_like(counts)
     twos = np.full(min(cells, _CLAMP_CHUNK), 2, dtype=counts.dtype)

@@ -30,7 +30,7 @@ class BoundTooSmall(UlamError):
 
 
 class GridTooLarge(UlamError):
-    """The dense grid that a request needs has more cells than the limit."""
+    """A count grid that a request needs takes more bytes than the limit."""
 
 
 class InvalidInitials(UlamError):

@@ -183,11 +183,11 @@ def test_usage_error_exit_code(capsys):
 
 @pytest.mark.parametrize("bound", [["--box", "9,9"], ["--level", "30", "--size", "euclidean"]])
 def test_generate_over_the_cell_limit_exits_2(monkeypatch, capsys, bound):
-    monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", 10)
+    monkeypatch.setattr(core, "_MAX_BYTES", 20)
     assert run(["generate", "--init", "(1,0),(0,1)", *bound]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "limit of 10" in captured.err
+    assert captured.err.startswith("error: ") and "limit of 20" in captured.err
 
 
 def test_columns_cli_json(capsys):
@@ -640,6 +640,13 @@ def test_a_bare_list_embeds_as_one_dimensional_points(capsys, target):
     assert outs[0] == outs[1]
     assert [v.entries for v in parse_symbolic_vectors("1,2", {})] == [
         v.entries for v in parse_symbolic_vectors("(1),(2)", {})]
+
+
+@pytest.mark.parametrize("init", ["(0,0)", "(1,-1)", "(1,0),(1,0)", "(1,0),(0,1,2)"],
+                         ids=["zero", "negative", "duplicate", "mixed-dimension"])
+def test_line_embedding_refuses_what_the_lattice_target_refuses(capsys, init):
+    _usage_error(capsys, ["embed", "--init", init, "--target", "lattice"])
+    _usage_error(capsys, ["embed", "--init", init, "--target", "line"])
 
 
 _COLUMNS = ["columns", "--init", "(2,0),(3,0),(0,1)", "--box", "70,3000"]

@@ -602,7 +602,7 @@ def test_size_function_post_filter_matches_reference(dim, data):
 ])
 def test_grid_over_the_cell_limit_raises_before_allocating(monkeypatch, bound, sizefn):
     cfg = validate_config([(1, 0), (0, 1)], 2)
-    monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", 19)
+    monkeypatch.setattr(core, "_MAX_BYTES", 38)
 
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was allocated")
@@ -613,21 +613,30 @@ def test_grid_over_the_cell_limit_raises_before_allocating(monkeypatch, bound, s
 
 
 def test_grid_at_the_cell_limit_is_generated(monkeypatch):
-    # the 4 x 5 box takes a 4 x 8 padded grid: radix min(2 * 5 - 1, 3 + 4 + 1)
+    # the 4 x 5 box takes a 4 x 8 padded grid, radix min(2 * 5 - 1, 3 + 4 + 1),
+    # of 2 B per cell: uint8 counts and members
     cfg = validate_config([(1, 0), (0, 1)], 2)
-    monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", 32)
+    monkeypatch.setattr(core, "_MAX_BYTES", 64)
     want = generate_reference(cfg, Bound.box((3, 4))).points
     assert generate(cfg, Bound.box((3, 4))).points == want
-    monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", 31)
+    monkeypatch.setattr(core, "_MAX_BYTES", 62)
     with pytest.raises(GridTooLarge):
         generate(cfg, Bound.box((3, 4)))
 
 
+def test_a_refused_level_bound_names_itself():
+    units = validate_config([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    with pytest.raises(GridTooLarge) as err:
+        generate(units, Bound.level(600))
+    assert str(err.value) == ("level 600 in dimension 3, a 601x601x601 grid: "
+                              "434163602 bytes, over the limit of 300000000")
+
+
 def test_column_spectra_over_the_byte_cap_fall_back_to_the_level_engine(monkeypatch):
-    """The 5 x 12 box's level grid has 6 x 18 = 108 cells and its column
-    spectra 16 * 6 * (25 // 2 + 1) = 1248 bytes.  With room for the grid
-    alone, 2 B per cell, the level engine runs; the sweep needs a cell
-    limit of 624."""
+    """The 5 x 12 box's level grid has 6 x 18 = 108 cells, 216 bytes at
+    2 B per cell, and its column spectra 16 * 6 * (25 // 2 + 1) = 1248
+    bytes.  With room for the grid alone the level engine runs; the sweep
+    needs a limit of 1248 bytes."""
     cfg = validate_config([(1, 0), (0, 1)], 2)
     bound = Bound.box((5, 12))
     want = generate_reference(cfg, bound).points
@@ -639,8 +648,8 @@ def test_column_spectra_over_the_byte_cap_fall_back_to_the_level_engine(monkeypa
         return sweep(*args)
 
     monkeypatch.setattr(core, "_generate_columns", recording)
-    for limit, swept in ((108, False), (623, False), (624, True)):
-        monkeypatch.setattr(core, "_DENSE_CELL_LIMIT", limit)
+    for limit, swept in ((216, False), (1246, False), (1248, True)):
+        monkeypatch.setattr(core, "_MAX_BYTES", limit)
         ran.clear()
         assert generate(cfg, bound).points == want
         assert bool(ran) == swept, limit

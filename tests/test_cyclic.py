@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulamset import cli
-from ulamset.core import _DENSE_CELL_LIMIT
+from ulamset import cli, core
 from ulamset.cyclic import CyclicPoint, finiteness_certificate, generate_cyclic
 from ulamset.errors import (
     BoundTooSmall,
@@ -271,11 +270,23 @@ def test_a_grid_over_the_cell_limit_fails_before_allocating(monkeypatch, capsys)
         monkeypatch.setattr(np, name, _no_allocation)
     with pytest.raises(GridTooLarge, match="over the limit"):
         generate_cyclic([(1, 0), (2, 1)], 7, 10**9)
-    with pytest.raises(GridTooLarge):  # one cell over the limit
-        generate_cyclic([(1, 0)], 1, _DENSE_CELL_LIMIT)
+    with pytest.raises(GridTooLarge):  # one cell, 2 bytes, over the limit
+        generate_cyclic([(1, 0)], 1, core._MAX_BYTES // 2)
     argv = ["generate", "--cyclic", "7", "--init", "(1,0),(2,1)", "--x-bound", "1000000000"]
     assert cli.run(argv) == 2
     assert "over the limit" in capsys.readouterr().err
+
+
+def test_a_grid_at_the_byte_limit_is_allocated(monkeypatch):
+    # x_bound 10 mod 7 takes an 11 x 13 grid of uint8 counts and members
+    for name in ("zeros", "zeros_like", "full", "empty"):
+        monkeypatch.setattr(np, name, _no_allocation)
+    monkeypatch.setattr(core, "_MAX_BYTES", 2 * 11 * 13)
+    with pytest.raises(AssertionError, match="allocated"):
+        generate_cyclic([(1, 0), (2, 1)], 7, 10)
+    monkeypatch.setattr(core, "_MAX_BYTES", 2 * 11 * 13 - 1)
+    with pytest.raises(GridTooLarge, match="286 bytes, over the limit of 285"):
+        generate_cyclic([(1, 0), (2, 1)], 7, 10)
 
 
 def test_the_fold_does_not_wrap():
