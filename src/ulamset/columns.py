@@ -152,9 +152,10 @@ def column_word(uset: UlamSet, index: int, lo: int, hi: int, step: int = 1) -> s
     far = (index, hi)
     if not uset.bound.contains(far, uset.sizefn.value(far)):
         raise RangeExceedsBound(f"column {index} up to {hi} leaves the bound")
-    if index < 0:  # no member has a negative coordinate
-        return "0" * len(range(lo, hi + 1, step))
-    return _grid_word(_member_grid(uset, (index + 1, hi + 1)), index, lo, hi, step)
+    ys = uset.coords[uset.coords[:, 0] == index, 1]
+    word = np.full(hi + 1, ord("0"), dtype=np.uint8)
+    word[ys[ys <= hi]] = ord("1")
+    return word[lo::step].tobytes().decode("ascii")
 
 
 def _member_grid(uset: UlamSet, shape) -> np.ndarray:
@@ -166,17 +167,13 @@ def _member_grid(uset: UlamSet, shape) -> np.ndarray:
     return grid
 
 
-def _grid_word(grid: np.ndarray, index: int, lo: int, hi: int, step: int) -> str:
-    """Symbols lo, lo + step, ... <= hi of the column x = ``index`` of a member grid."""
-    return grid[index, lo:hi + 1:step].tobytes().decode("ascii")
-
-
 @dataclass(frozen=True)
 class ColumnProfile:
     """Per-column eventual-periodicity report.
 
     ``period`` is measured in units of the step; ``doubling_source`` names
-    the nearest earlier column whose period this one equals or doubles.
+    the nearest earlier column whose period this one equals or, when even,
+    doubles.
     """
 
     index: int
@@ -200,12 +197,6 @@ class ColumnsReport:
         return sorted({p.index for p in self.profiles if not p.empty})
 
 
-def _odd_part(n: int) -> int:
-    while n % 2 == 0:
-        n //= 2
-    return n
-
-
 def columns_report(
     uset: UlamSet,
     step: int = 1,
@@ -219,11 +210,12 @@ def columns_report(
     are detected together on the member grid, by the rule of
     :func:`detect_eventual_period` with one more period of evidence, a
     guard against the box edge.  Two checks run over the conclusive
-    profiles, and every failure is reported rather than dropped: the odd
-    part of the detected minimal period (in units of y) must divide the
-    step, and each period must equal or double the period of some earlier
-    column (the empty column over index 0 anchors the lineage with
-    period 1).
+    profiles, and every failure is reported rather than dropped: the
+    detected minimal period p (in units of the step) must be a power of
+    two, which is the same as the odd part of p * step dividing the step,
+    and each period above 1 must equal the period of some earlier column
+    or, when even, double it (the empty column over index 0 anchors the
+    lineage with period 1).
     """
     if uset.dim != 2 or uset.bound.kind != "box":
         raise RangeExceedsBound("column reports need a box-bounded planar set")
@@ -233,7 +225,7 @@ def columns_report(
     profiles: list[ColumnProfile] = []
     inconclusive: list[tuple[int, int]] = []
     violations: list[str] = []
-    seen_periods: list[tuple[int, int]] = []  # (index, period) lineage
+    last_with: dict[int, int] = {}  # period -> last column with it
     grid = _member_grid(uset, (hi_index + 1, hi_sweep + 1))  # one row per column
     classes = []  # per residue: the words of every column, preperiods, periods
     for residue in range(min(step, hi_sweep + 1)):
@@ -248,18 +240,15 @@ def columns_report(
                 continue
             source = None
             if fit.period > 1:
-                candidates = [
-                    i for i, p in seen_periods if p in (fit.period, fit.period // 2)
-                ]
-                if candidates:
-                    source = max(candidates)  # nearest earlier column
-                else:
+                lineage = (fit.period, fit.period // 2) if fit.period % 2 == 0 else (fit.period,)
+                # the nearest earlier column
+                source = max((last_with[p] for p in lineage if p in last_with), default=None)
+                if source is None:
                     violations.append(
                         f"column {index} (residue {residue}): period "
                         f"{fit.period} neither matches nor doubles an earlier one"
                     )
-            actual = fit.period * step
-            if _odd_part(actual) > step or step % _odd_part(actual) != 0:
+            if fit.period & (fit.period - 1):
                 violations.append(
                     f"column {index} (residue {residue}): period {fit.period} "
                     f"(in units of {step}) is not a power of two"
@@ -276,7 +265,7 @@ def columns_report(
                     doubling_source=source,
                 )
             )
-            seen_periods.append((index, fit.period))
+            last_with[fit.period] = index
 
     return ColumnsReport(
         step=step,

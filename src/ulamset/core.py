@@ -49,8 +49,9 @@ from .errors import (
 
 Point = tuple[int, ...]
 
-# Most bytes a count grid may take.  The level grid, the column spectra and
-# the cyclic grid each state their bytes to _check_bytes before they allocate.
+# Most bytes a count grid may take.  The level grid and the cyclic grid state
+# their bytes to _check_bytes before they allocate; the column sweep runs only
+# when its spectra, which take more than 4x the level grid, fit.
 _MAX_BYTES = 300_000_000
 
 # Count dtype of the dense engine per bound kind.  The counts saturate (see
@@ -290,8 +291,9 @@ def generate(config: InitialConfig, bound: Bound, sizefn: SizeFunction | None = 
     The set does not depend on the admissible f, and a box is downward
     closed, so any f is served by the coordinate-sum engine over a box that
     holds the bound, followed by a filter on f.  Raises
-    :class:`GridTooLarge` before allocating when the level grid for that
-    bound (see :func:`_level_grid`) takes more than ``_MAX_BYTES``.
+    :class:`GridTooLarge` before allocating when the level engine's grid
+    for that bound (see :func:`_generate_levels`) takes more than
+    ``_MAX_BYTES``; a refused level bound of another f names its level.
     """
     sizefn = sizefn or SizeFunction.coordinate_sum()
     sizefn.check_dim(config.dim)
@@ -302,7 +304,12 @@ def generate(config: InitialConfig, bound: Bound, sizefn: SizeFunction | None = 
     box = bound
     if bound.kind == "level":
         box = Bound.box([_axis_limit(sizefn, config.dim, i, bound.cap) for i in range(config.dim)])
-    coords = _generate_dense(config, box).coords
+    try:
+        coords = _generate_dense(config, box).coords
+    except GridTooLarge as err:
+        if box is bound:
+            raise
+        raise GridTooLarge(f"{sizefn.kind} level {bound.cap} in dimension {config.dim}, {err}") from None
     rows = coords.tolist()
     fvals = [sizefn.value(p) for p in rows]
     kept = [i for i, f in enumerate(fvals) if bound.contains(rows[i], f)]
@@ -351,39 +358,15 @@ def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
     """Coordinate-sum engine: the column sweep on the 2-D boxes that
     :func:`_sweep_axis` admits, the level engine on every other bound.
 
-    Both refuse a bound whose level grid takes more than ``_MAX_BYTES``
-    before allocating, so the choice never changes which requests are
-    refused.
+    The sweep runs only when its spectra fit in ``_MAX_BYTES``, and they
+    take 16 (l_0 + 1)(l_1 + 1) bytes or more, over 4x the level grid's
+    2 (l_0 + 1) min(2 l_1 + 1, l_0 + l_1 + 1), so only the level engine
+    needs to refuse a request, and the choice never changes which are.
     """
-    _level_grid(config.dim, bound)
     x = _sweep_axis(config, bound)
     if x is None:
         return _generate_levels(config, bound)
     return _generate_columns(config, bound, x)
-
-
-def _level_grid(d: int, bound: Bound) -> tuple:
-    """(limits, lmax, dims, radix) of the level engine's padded grid.
-
-    Axis 0 keeps its n_0 = l_0 + 1 rows; every inner axis k gets the radix
-    R_k = min(2 n_k - 1, lmax + 1), where lmax is the top level (the sum of
-    the box limits, or the cap).  Raises :class:`GridTooLarge` when the
-    grid takes more than ``_MAX_BYTES``.
-    """
-    if bound.kind == "box":
-        limits = bound.limits
-        lmax = sum(limits)
-        request = f"the {'x'.join(str(l + 1) for l in limits)} box"
-    else:
-        limits = (int(bound.cap),) * d
-        lmax = limits[0]
-        request = f"level {bound.cap} in dimension {d}"
-    dims = tuple(l + 1 for l in limits)
-    radix = dims[:1] + tuple(min(2 * n - 1, lmax + 1) for n in dims[1:])
-    # the counts, and on a box the member grid in the same dtype
-    per_cell = np.dtype(_COUNT_DTYPE[bound.kind]).itemsize * (1 + (bound.kind == "box"))
-    _check_bytes(per_cell * prod(radix), f"{request}, a {'x'.join(map(str, radix))} grid")
-    return limits, lmax, dims, radix
 
 
 def _check_bytes(nbytes: int, request: str) -> None:
@@ -395,8 +378,11 @@ def _check_bytes(nbytes: int, request: str) -> None:
 def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
     """Level engine: representation counts on one flat numpy grid.
 
-    The grid is laid out by :func:`_level_grid`; a level bound has
-    n_k = lmax + 1, so R_k = n_k there.  On a box, a new member u at flat
+    Axis 0 of the grid keeps its n_0 = l_0 + 1 rows; every inner axis k
+    gets the radix R_k = min(2 n_k - 1, lmax + 1), where lmax is the top
+    level (the sum of the box limits, or the cap), so R_k = n_k on a level
+    bound.  Raises :class:`GridTooLarge` when the grid takes more than
+    ``_MAX_BYTES``, before allocating.  On a box, a new member u at flat
     index f adds the member grid to the counts by one contiguous add,
     ``counts[f:last + 1] += member[:last + 1 - f]`` (``last`` is the far
     corner), or adds 1 at ``f + g`` for each earlier member's flat index
@@ -412,7 +398,19 @@ def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
     with u all lie in the bound.
     """
     d = config.dim
-    limits, lmax, dims, radix = _level_grid(d, bound)
+    if bound.kind == "box":
+        limits = bound.limits
+        lmax = sum(limits)
+        request = f"the {'x'.join(str(l + 1) for l in limits)} box"
+    else:
+        limits = (int(bound.cap),) * d
+        lmax = limits[0]
+        request = f"level {bound.cap} in dimension {d}"
+    dims = tuple(l + 1 for l in limits)
+    radix = dims[:1] + tuple(min(2 * n - 1, lmax + 1) for n in dims[1:])
+    # the counts, and on a box the member grid in the same dtype
+    per_cell = np.dtype(_COUNT_DTYPE[bound.kind]).itemsize * (1 + (bound.kind == "box"))
+    _check_bytes(per_cell * prod(radix), f"{request}, a {'x'.join(map(str, radix))} grid")
     cap = None if bound.kind == "box" else lmax
     cells = prod(radix)
     stride_list = [prod(radix[i + 1:]) for i in range(d)]
@@ -456,7 +454,6 @@ def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
     mflats = np.empty(1024, dtype=np.int64)
     below: list[int] = []
     n = 0
-    since_clamp = 0
 
     init_by_level: dict[int, list[int]] = {}
     for v in config.initials:
@@ -488,10 +485,8 @@ def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
             # members the level's points pair with: level <= cap - L
             pe_level = below[cap - L + 1] if cap - L < L else n + m
         for fl in batch.tolist():
-            if since_clamp == clamp_every:
+            if n and n % clamp_every == 0:
                 _clamp(counts, twos)
-                since_clamp = 0
-            since_clamp += 1
             if cap is None:
                 # two equivalent updates; pick the cheaper one per point
                 if last - fl < _SLICE_PER_MEMBER * n:
@@ -529,11 +524,8 @@ def _sweep_axis(config: InitialConfig, bound: Bound) -> int | None:
         return None
     x = int(bound.limits[1] < bound.limits[0])
     lx, ly = bound.limits[x], bound.limits[1 - x]
-    if sum(p[x] == 0 for p in config.initials) > 1:
-        return None
-    try:
-        _check_bytes(16 * (lx + 1) * (_fft_size(ly) // 2 + 1), "the column spectra")
-    except GridTooLarge:
+    if (sum(p[x] == 0 for p in config.initials) > 1
+            or 16 * (lx + 1) * (_fft_size(ly) // 2 + 1) > _MAX_BYTES):
         return None
     return x
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -349,24 +348,25 @@ def angle_ranking(uset: UlamSet, interior_only: bool = False) -> list:
     Angles are compared exactly through the squared cosine
     s^2 / (d |p|^2), s = sum p_i, a rational in the coordinates, with ties
     in lexicographic order; the returned angle is a float in radians for
-    reporting only.  While every d |p|^2 < 2^26, two distinct such
-    rationals in (0, 1] differ by more than 2^-52, more than an ulp, and
-    IEEE division rounds correctly, so the float quotients sort them
-    exactly; above that bound the rationals are sorted as Fractions.
+    reporting only, from the correctly rounded quotient.  While every
+    d |p|^2 < 2^26, two distinct such rationals in (0, 1] differ by more
+    than 2^-52, more than an ulp, and IEEE division rounds correctly, so
+    the float quotients sort them exactly.  Above that bound they are
+    sorted by floor(s^2 2^K / (d |p|^2)) with 2^K > max(d |p|^2)^2, in
+    Python integers: distinct quotients differ by at least
+    1 / (den_1 den_2) > 2^-K, so their floors differ.
     """
     c = _interior_rows(uset.coords) if interior_only else uset.coords
-    num = c.sum(axis=1) ** 2
-    den = uset.dim * (c * c).sum(axis=1)
-    # |c| < 2^13 also keeps the int64 squares from overflowing, and a zero
-    # row is left to Fraction, which refuses it
-    if c.size and not (np.abs(c).max() < 1 << 13 and den.min() > 0 and den.max() < 1 << 26):
-        ranked = sorted(
-            (Fraction(sum(p) ** 2, uset.dim * sum(x * x for x in p)), p)
-            for p in map(tuple, c.tolist())
-        )
-        ranked = [(p, float(c2)) for c2, p in ranked]
-    else:
+    small = np.abs(c).max(initial=0) < 1 << 13  # the int64 squares do not overflow
+    w = c if small else c.astype(object)
+    num = w.sum(axis=1) ** 2
+    den = uset.dim * (w * w).sum(axis=1)
+    if small and den.min(initial=1) > 0 and den.max(initial=0) < 1 << 26:
         key = num / den
-        order = np.lexsort(tuple(c[:, ::-1].T) + (key,))
-        ranked = zip(map(tuple, c[order].tolist()), key[order].tolist())
+    else:
+        # a zero row makes the floor division raise ZeroDivisionError
+        num, den = num.astype(object), den.astype(object)
+        key = (num << 2 * int(den.max()).bit_length()) // den
+    order = np.lexsort(tuple(c[:, ::-1].T) + (key,))
+    ranked = zip(map(tuple, c[order].tolist()), (num[order] / den[order]).tolist())
     return [(p, math.acos(min(1.0, math.sqrt(k)))) for p, k in ranked]

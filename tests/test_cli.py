@@ -190,6 +190,19 @@ def test_generate_over_the_cell_limit_exits_2(monkeypatch, capsys, bound):
     assert captured.err.startswith("error: ") and "limit of 20" in captured.err
 
 
+@pytest.mark.parametrize("size,named", [
+    (["--size", "euclidean"], "euclidean-norm-squared level 100000000 in dimension 2, "
+     "the 10001x10001 box, a 10001x20001 grid: 400060002 bytes"),
+    (["--size", "weighted", "--weights", "1,2"], "weighted-sum level 100000000 in dimension 2, "
+     "the 100000001x50000001 box, a 100000001x100000001 grid: 20000000400000002 bytes"),
+])
+def test_a_refused_level_bound_names_its_level_and_size(capsys, size, named):
+    assert run(["generate", "--init", "(1,0),(0,1)", "--level", "100000000", *size]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}, over the limit of 300000000\n"
+
+
 def test_columns_cli_json(capsys):
     code = run([
         "columns", "--init", "(1,0),(0,1)", "--box", "9,60", "--format", "json",
@@ -501,8 +514,8 @@ PATH_OUTPUT_SHA256 = [
      "a02540862d55e1dcb014b0cb9c071ba1d31575938e1606637167691eb2afe65c"),
     (["columns", "--init", "(1,0),(0,3)", "--box", "6,8"], 0, 347,  # an inconclusive row
      "b977b7438042f4c1242be9bc2708bcf38fb0bfa648da238b2dacfc6971fc8c9b"),
-    (["columns", "--init", "(1,0),(0,3)", "--box", "6,60"], 1, 664,  # VIOLATION rows
-     "95e6b291ec6a70d364c20f7eda73b88e1f2643167c8e5a03fdd80e7cb422f4ac"),
+    (["columns", "--init", "(1,0),(0,3)", "--box", "6,60"], 1, 749,  # VIOLATION rows
+     "56ae772ae33af85a3555ceae19700ce4bae0b622a28804a20f42faf5854c3cf1"),
 ]
 
 

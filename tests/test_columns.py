@@ -4,20 +4,20 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulamset import Bound, generate, validate_config
+from ulamset import columns as columns_mod
 from ulamset.columns import (
     DEFAULT_MAX_PERIOD,
     DEFAULT_MIN_EVIDENCE,
     ColumnProfile,
     ColumnsReport,
     PeriodFit,
-    _grid_word,
     _member_grid,
-    _odd_part,
     classify_period_doubling,
     column_word,
     columns_report,
@@ -256,6 +256,17 @@ def test_empty_column_in_axes_2_3_config():
     assert column_word(s, index=5, lo=2, hi=20) == "0" * 19
 
 
+def _grid_word(grid, index, lo, hi, step):
+    """Symbols lo, lo + step, ... <= hi of the column x = ``index`` of a member grid."""
+    return grid[index, lo:hi + 1:step].tobytes().decode("ascii")
+
+
+def _odd_part(n):
+    while n % 2 == 0:
+        n //= 2
+    return n
+
+
 def _lookup_word(uset, index, lo, hi, step):
     """Column word by one set lookup per symbol."""
     return "".join("1" if (index, y) in uset.members else "0"
@@ -284,6 +295,24 @@ def test_column_words_match_set_lookups(raw, data):
     if index >= 0:
         grid = _member_grid(s, [l + 1 for l in limits])
         assert _grid_word(grid, index, lo, hi, step) == want
+
+
+def test_column_word_allocates_only_its_column(monkeypatch):
+    """The word of column 29 up to y = 300 allocates at most 301 cells, not
+    a member grid of the 30 columns before it."""
+    s = generate(validate_config([(1, 0), (2, 0), (0, 1)], 2), Bound.box((40, 400)))
+    want = _lookup_word(s, 29, 3, 300, 2)
+    sizes = []
+    for name in ("full", "zeros"):
+        real = getattr(columns_mod.np, name)
+
+        def recording(shape, *args, _real=real, **kwargs):
+            sizes.append(int(np.prod(shape)))
+            return _real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(columns_mod.np, name, recording)
+    assert column_word(s, 29, 3, 300, 2) == want
+    assert sizes and max(sizes) <= 301
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +361,20 @@ def test_columns_report_step_two():
         assert prof.residue in (0, 1)
 
 
+def test_an_odd_period_neither_matches_nor_doubles_a_period_one_column():
+    """Column 1 of (1,0),(0,3) has period 3, and only the period-1 column 0
+    comes before it: 3 is not 1 and not twice an integer, so the column has
+    no doubling source and breaks the lineage."""
+    s = generate(validate_config([(1, 0), (0, 3)], 2), Bound.box((6, 60)))
+    rep = columns_report(s)
+    col1 = next(p for p in rep.profiles if p.index == 1)
+    assert (col1.period, col1.doubling_source) == (3, None)
+    assert ("column 1 (residue 0): period 3 neither matches nor doubles an earlier one"
+            in rep.violations)
+    col3 = next(p for p in rep.profiles if p.index == 3)
+    assert (col3.period, col3.doubling_source) == (6, 1)
+
+
 @pytest.mark.parametrize("step", [0, -2])
 def test_columns_report_rejects_step_below_one(step):
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((5, 20)))
@@ -374,7 +417,7 @@ def ref_columns_report(uset, step=1, max_period=DEFAULT_MAX_PERIOD,
             source = None
             if fit.period > 1:
                 candidates = [
-                    i for i, p in seen_periods if p in (fit.period, fit.period // 2)
+                    i for i, p in seen_periods if fit.period in (p, 2 * p)
                 ]
                 if candidates:
                     source = max(candidates)  # nearest earlier column

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -653,6 +654,27 @@ def test_column_spectra_over_the_byte_cap_fall_back_to_the_level_engine(monkeypa
         ran.clear()
         assert generate(cfg, bound).points == want
         assert bool(ran) == swept, limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_2d_box_is_refused_exactly_when_its_level_grid_is_over_budget(data):
+    """Whichever engine a 2-D box goes to, generate refuses it exactly when
+    the level grid, 2 (l_0 + 1) min(2 l_1 + 1, l_0 + l_1 + 1) bytes, takes
+    more than _MAX_BYTES, and otherwise gives the reference's points."""
+    raw = _initials_on_axes(data)
+    cfg = validate_config(raw, 2)
+    least = max(max(p) for p in raw)
+    l0, l1 = (data.draw(st.integers(least, 14), label=f"l{i}") for i in range(2))
+    limit = data.draw(st.integers(1, 4000), label="_MAX_BYTES")
+    bound = Bound.box((l0, l1))
+    with mock.patch.object(core, "_MAX_BYTES", limit):
+        if 2 * (l0 + 1) * min(2 * l1 + 1, l0 + l1 + 1) > limit:
+            assert core._sweep_axis(cfg, bound) is None
+            with pytest.raises(GridTooLarge):
+                generate(cfg, bound)
+        else:
+            assert generate(cfg, bound).points == generate_reference(cfg, bound).points
 
 
 @pytest.mark.parametrize("dim,cap", [(2, 9), (3, 6), (4, 4)])

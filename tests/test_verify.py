@@ -406,15 +406,16 @@ def test_angle_ranking_matches_the_former_two_key_walk(s):
 @given(st.data())
 def test_angle_ranking_orders_as_fractions_across_the_float_bound(data):
     """Sets with every d |p|^2 below 2^26, ranked by float quotients, and
-    sets with larger coordinates, ranked by Fractions, both give the
-    Fraction order, ties (multiples of one point) in lexicographic order."""
+    sets with larger coordinates, up to 2^41 (past the int64 squares),
+    ranked by exact integer keys, both give the Fraction order, ties
+    (multiples of one point) in lexicographic order."""
     dim = data.draw(st.integers(1, 4), label="dim")
-    coord = st.one_of(st.integers(0, 6), st.integers(0, 9000))
+    coord = st.one_of(st.integers(0, 6), st.integers(0, 9000), st.integers(1 << 40, 1 << 41))
     pts = data.draw(st.lists(st.tuples(*[coord] * dim).filter(any), max_size=30, unique=True))
     pts += [tuple(k * c for c in p) for p in pts[:3] for k in (2, 3)]
     pts = list(dict.fromkeys(pts))
     s = core.UlamSet(validate_config([(1,) * dim], dim), SizeFunction.coordinate_sum(),
-                     Bound.box((27000,) * dim), tuple(pts))
+                     Bound.box((3 << 41,) * dim), tuple(pts))
 
     def key(p):
         return Fraction(sum(p) ** 2, dim * sum(c * c for c in p))
@@ -422,6 +423,14 @@ def test_angle_ranking_orders_as_fractions_across_the_float_bound(data):
     former = [(p, math.acos(min(1.0, math.sqrt(float(key(p))))))
               for p in sorted(pts, key=lambda p: (key(p), p))]
     assert angle_ranking(s) == former
+
+
+@pytest.mark.parametrize("big", [1, 1 << 40])
+def test_angle_ranking_refuses_the_zero_row(big):
+    s = core.UlamSet(validate_config([(1, 0)], 2), SizeFunction.coordinate_sum(),
+                     Bound.box((big, big)), ((0, 0), (big, 1)))
+    with pytest.raises(ZeroDivisionError):
+        angle_ranking(s)
 
 
 # ---------------------------------------------------------------------------
