@@ -384,23 +384,19 @@ def embed_integer_lattice(config, symbol_values=None) -> InitialConfig:
     # component-sum direction of Q, approximated by a rational vector with
     # power-of-two denominators until all dot products are exactly positive
     b_num = [vecs[qi].component_sum_value(symbol_values) for qi in q_idx]
-    uperp = None
     for t in range(0, 80):
-        cand = [Fraction(round(b * (1 << t)), 1 << t) for b in b_num]
-        dots = [sum(ci * wi for ci, wi in zip(ui, cand)) for ui in u]
+        uperp = [Fraction(round(b * (1 << t)), 1 << t) for b in b_num]
+        dots = [sum(ci * wi for ci, wi in zip(ui, uperp)) for ui in u]
         if all(d > 0 for d in dots):
-            uperp = cand
             break
-    if uperp is None:
+    else:
         raise NonPositiveDirection("no rational positive direction found")
 
     m_min = min(dots)
     omega = min(c for ui in u for c in ui)
     m_shift = 1 if omega + m_min > 0 else int(-omega / m_min) + 1
-    # the shift matrix I + M * ones * u'^T is singular only when its single
-    # nontrivial eigenvalue 1 + M * sum(u') vanishes
-    while 1 + m_shift * sum(uperp) == 0:
-        m_shift += 1
+    # the shift matrix I + M * ones * u'^T is nonsingular: its one nontrivial
+    # eigenvalue 1 + M * sum(u') exceeds 1, as u'_j = dots[q_idx[j]] > 0
 
     ys = [[ci + m_shift * d for ci in ui] for ui, d in zip(u, dots)]
     assert all(c > 0 for y in ys for c in y)

@@ -352,6 +352,8 @@ def _cmd_generate(args) -> int:
     if args.format == "svg" and dim not in (2, 3):
         what = "a --terms sequence" if args.terms is not None else f"dimension {dim}"
         raise ValueError(f"--format svg draws 2-D and 3-D sets, not {what}")
+    if args.radius is not None and not 0 < args.radius < math.inf:
+        raise ValueError(f"--radius must be a positive finite number, got {args.radius}")
 
     rows, names, doc = _generate_output(args)
     if args.format == "json":
@@ -458,6 +460,12 @@ def _verify_reads(args) -> str:
 
 def _cmd_verify(args) -> int:
     oracle = get_oracle(args.oracle, args.m, args.n)
+    if oracle.slab is not None:  # a region short of the oracle's one slab checks no cell
+        axis, value = oracle.slab
+        reach = args.level if args.box is None else (args.box * oracle.dim)[axis]
+        if reach is not None and reach < value:
+            raise ValueError(f"the region stops short of the {'xyz'[axis]} = {value} slab "
+                             f"that {oracle.oracle_id} covers, so no cell would be checked")
     uset = _ulam_set(args, oracle.initials if args.init is None else args.init, oracle.dim)
     rep = compare_set_to_oracle(uset, oracle, uset.bound)
     if rep.ok:

@@ -18,10 +18,12 @@ and r2 in J, r1 + r2 lies in (2M/3, 4M/3), so 3*((r1 + r2) mod M) lies in
 *outlier*.
 
 Counts.  The *tracked* members are the outliers and the ``_TRACKED_J``
-smallest members of J.  ``counts[v]`` holds the number of member pairs
-{a, b}, a != b, a + b = v, with at least one tracked summand.  Admitting
-an untracked member of J adds its sums with the tracked members;
-admitting an outlier adds its sums with all members.
+smallest members of J; the members are stored once, split between the
+arrays ``tracked`` and ``j_members`` (the untracked members of J).
+``counts[v]`` holds the number of member pairs {a, b}, a != b, a + b = v,
+with at least one tracked summand.  Admitting an untracked member of J
+adds its sums with the tracked members; admitting an outlier adds its
+sums with the members of both arrays.
 
 Candidates.  Values are decided in increasing order, in windows [lo, end)
 of at most ``_WINDOW`` values.  A window reads its counts once, at its start;
@@ -30,9 +32,9 @@ most 1.  A value in J has no representation by two members of J, so its
 count is its number of representations, and it is a term iff that is 1.
 A value outside J is rejected when its count is at least 2; otherwise the
 pairs of untracked members of J that sum to it are counted from scratch,
-stopping as soon as the total reaches two.  Tracking the smallest members
-of J as well as the outliers makes that count rare: the counts already
-hold most pairs that reject a value outside J.
+in one pass over ``j_members``.  Tracking the smallest members of J as
+well as the outliers makes that count rare: the counts already hold most
+pairs that reject a value outside J.
 
 Inside a window, an admission x adds 1 at x + a < end for every partner a
 it is counted with (the tracked members if x is in J, all members if it
@@ -91,7 +93,6 @@ _FIT_ROUNDS = 8  # least-squares rounds; each one re-selects the residues in J
 _BLOCK = 1 << 14  # values per block of classes
 _WINDOW = 128  # values per window of counts read at once
 _TRACKED_J = 64  # smallest members of J whose pairs are counted like outliers
-_PULL_HEAD = 256  # members of J tried before a full pull count
 _MAX_OUTLIER_SHARE = 0.05  # above it, pull counts cost more than full counts
 
 
@@ -151,14 +152,9 @@ def _estimate(members: np.ndarray, j: int) -> int:
     return j
 
 
-def _pull_count(v: int, need: int, in_j: np.ndarray, j_members: np.ndarray) -> int:
-    """Pairs of members of J that sum to v, counted until ``need`` are found."""
-    head = j_members[:_PULL_HEAD]
-    found = int(np.count_nonzero(in_j[v - head[2 * head < v]]))
-    if found >= need or j_members.size <= _PULL_HEAD:
-        return found
-    rest = j_members[_PULL_HEAD:]
-    return found + int(np.count_nonzero(in_j[v - rest[2 * rest < v]]))
+def _pull_count(v: int, in_j: np.ndarray, j_members: np.ndarray) -> int:
+    """Pairs of members of J that sum to v."""
+    return int(np.count_nonzero(in_j[v - j_members[2 * j_members < v]]))
 
 
 def _window_partners(values: np.ndarray, width: int) -> int:
@@ -208,21 +204,17 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
 
     inits = tuple(sorted(inits))
     k = len(inits)
-    members = np.empty(max(1024, n_terms + k), dtype=np.int64)
-    members[:k] = inits
-    m = k
-    top = inits[-1]  # largest member value so far
 
     # j = 0 until the first estimate: every member is an outlier
     j = 0
-    tracked = np.empty_like(members)  # outliers and a few members of J
+    tracked = np.empty(max(1024, n_terms + k), dtype=np.int64)  # outliers and a few members of J
     tracked[:k] = inits
     nt = k
-    j_members = np.empty_like(members)  # the other members of J
+    j_members = np.empty_like(tracked)  # the other members of J
     nj = 0
     next_estimate = _FIRST_ESTIMATE
 
-    size = _GROWTH * (2 * top + 1)
+    size = _GROWTH * (2 * inits[-1] + 1)
     counts = np.zeros(size, dtype=np.uint32)
     in_j = np.zeros(size, dtype=bool)  # value is in j_members
     for i in range(k):
@@ -230,20 +222,18 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
             counts[inits[i] + inits[i2]] += 1
 
     out: list[int] = []
-    pending = list(inits)  # initials not yet merged into the output
-    pi = 0
+    pi = 0  # initials merged into the output so far
     lo = 1  # next undecided value
     # bits per value of a window tally: fewer than 2**width admissions add
     # to one field, so no field carries into the next
     width = _WINDOW.bit_length()
     field = (1 << width) - 1
     # members below _WINDOW, all of them and the tracked ones
-    small = _window_partners(members[:m], width)
-    small_tracked = _window_partners(tracked[:nt], width)
+    small = small_tracked = _window_partners(tracked[:nt], width)
 
     while len(out) < n_terms:
-        if pi < k and pending[pi] == lo:
-            # the pending initial comes first; it is already a member
+        if pi < k and inits[pi] == lo:
+            # the initial comes first; it is already a member
             out.append(lo)
             pi += 1
             lo += 1
@@ -252,10 +242,10 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
         # is at most the sum of the two largest members, which is below the
         # array size.
         start = lo
-        hi = min(lo + _BLOCK, size, pending[pi] if pi < k else size)
+        hi = min(lo + _BLOCK, size, inits[pi] if pi < k else size)
         cls = _in_class(_residues(np.arange(lo, hi, dtype=np.int64), j))
 
-        while lo < hi and m < next_estimate and len(out) < n_terms:
+        while lo < hi and nt + nj < next_estimate and len(out) < n_terms:
             end = min(lo + _WINDOW, hi)  # one window [lo, end)
             added = 0  # pairs of this window's admissions, a field per value
             batch = []  # members of J admitted in it, not yet in counts
@@ -264,17 +254,17 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
                 if in_cls or nj == 0:
                     if c != 1:
                         continue
-                elif c > 1 or c + _pull_count(x, 2 - c, in_j, j_members[:nj]) != 1:
+                elif c > 1 or c + _pull_count(x, in_j, j_members[:nj]) != 1:
                     continue
 
                 out.append(x)
-                if x > top:
-                    top = x
-                    if 2 * top >= size:
-                        grow = _GROWTH * (2 * top + 1) - size
-                        counts = np.concatenate((counts, np.zeros(grow, dtype=np.uint32)))
-                        in_j = np.concatenate((in_j, np.zeros(grow, dtype=bool)))
-                        size = counts.size
+                # x is the largest member unless it is below an initial, and
+                # size > 2 * (largest member) holds throughout
+                if 2 * x >= size:
+                    grow = _GROWTH * (2 * x + 1) - size
+                    counts = np.concatenate((counts, np.zeros(grow, dtype=np.uint32)))
+                    in_j = np.concatenate((in_j, np.zeros(grow, dtype=bool)))
+                    size = counts.size
                 if in_cls:
                     batch.append(x)
                     in_j[x] = True
@@ -285,30 +275,32 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
                     if batch:  # with tracked[:nt] before x joins it
                         _scatter(counts, batch, tracked[:nt])
                         batch = []
-                    counts[members[:m] + x] += 1  # sums are distinct for a fixed new term
+                    # sums are distinct for a fixed new term
+                    counts[tracked[:nt] + x] += 1
+                    if nj:
+                        counts[j_members[:nj] + x] += 1
                     tracked[nt] = x
                     nt += 1
                     partners = small
                 added += partners << (width * (x - lo))
-                members[m] = x
-                m += 1
                 if x < _WINDOW:
                     small |= 1 << (width * x)
                     if not in_cls:
                         small_tracked |= 1 << (width * x)
-                if m >= next_estimate or len(out) == n_terms:
+                if nt + nj >= next_estimate or len(out) == n_terms:
                     end = x + 1
                     break
             if batch:
                 _scatter(counts, batch, tracked[:nt])
             lo = end
 
-        if m >= next_estimate and len(out) < n_terms:
-            next_estimate = 2 * m
-            mem = members[:m]
+        if nt + nj >= next_estimate and len(out) < n_terms:
+            # member order reaches _estimate only through float rounding
+            mem = np.concatenate((tracked[:nt], j_members[:nj]))
+            next_estimate = 2 * mem.size
             estimate = _estimate(mem, j)
             cls_m = _in_class(_residues(mem, estimate))
-            if np.count_nonzero(~cls_m) > _MAX_OUTLIER_SHARE * m:
+            if np.count_nonzero(~cls_m) > _MAX_OUTLIER_SHARE * mem.size:
                 estimate = 0  # a weak signal: pull counts would cost more
                 cls_m[:] = False
             if estimate == j == 0:

@@ -25,6 +25,7 @@ from ulamset.algebra import (
 from ulamset.errors import (
     DegenerateSpan,
     DimensionMismatch,
+    IndependenceViolated,
     MismatchedArity,
     NonPositiveDirection,
 )
@@ -444,6 +445,42 @@ def test_embed_rejects_negative_direction():
         )
 
 
+def test_sym_vector_refuses_the_wrong_coefficient_count():
+    with pytest.raises(DimensionMismatch, match="has 3 coefficients, expected 2"):
+        sym_vector([(1, 2, 3)], ("sqrt2",))
+
+
+def test_an_empty_configuration_is_refused():
+    with pytest.raises(MismatchedArity):
+        embed_integer_lattice([])
+
+
+def test_vectors_over_two_symbol_tables_are_refused():
+    with pytest.raises(DimensionMismatch, match="different symbol tables"):
+        embed_integer_lattice(
+            [sym_vector([(0, 1)], ("sqrt2",)), sym_vector([(0, 1)], ("sqrt3",))],
+            {"sqrt2": SQRT2, "sqrt3": SQRT3},
+        )
+
+
+def test_prime_product_size_refuses_another_dimension():
+    with pytest.raises(DimensionMismatch):
+        PrimeProductSize(2).check_dim(3)
+
+
+def test_embed_needs_a_value_for_every_symbol():
+    with pytest.raises(ValueError, match="'sqrt2' needs a numeric value"):
+        embed_integer_lattice([sym_vector([(1, 1)], ("sqrt2",)), sym_vector([1], ("sqrt2",))])
+
+
+def test_embed_refuses_a_symbolic_vector_that_evaluates_to_zero():
+    # (s, 0) is nonzero symbolically, but s = 0 makes it the zero vector
+    with pytest.raises(IndependenceViolated):
+        embed_integer_lattice(
+            [sym_vector([(0, 1), 0], ("s",)), sym_vector([1, 0], ("s",))], {"s": 0.0}
+        )
+
+
 # ---------------------------------------------------------------------------
 # axis normalization
 
@@ -471,6 +508,17 @@ def test_normalize_outputs_unchanged():
     res = normalize_axes_2d(validate_config([(2, 5), (3, 1)], 2))
     assert res.config.initials == ((0, 13), (9, 0))
     assert res.matrix == ((Fraction(45, 13), Fraction(-18, 13)), (-1, 3))
+
+
+def test_normalization_refuses_a_point_with_a_fractional_image():
+    res = normalize_axes_2d(validate_config([(2, 5), (3, 1)], 2))
+    with pytest.raises(ValueError, match="not integral"):
+        res.apply((1, 0))  # the first row of the matrix is (45/13, -18/13)
+
+
+def test_normalize_refuses_a_3d_config():
+    with pytest.raises(DimensionMismatch):
+        normalize_axes_2d(validate_config([(1, 0, 0), (0, 1, 0)], 3))
 
 
 def test_normalize_degenerate_span():

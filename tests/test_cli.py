@@ -333,6 +333,12 @@ def test_svg_empty_and_3d_projection(tmp_path):
     assert text.count("<circle") == len(s3)
 
 
+@pytest.mark.parametrize("dim,projection", [(4, "xy"), (2, "oblique")])
+def test_scatter_svg_refuses_what_it_cannot_draw(dim, projection):
+    with pytest.raises(ValueError, match="cannot render"):
+        scatter_svg([(1,) * dim], dim, projection=projection)
+
+
 def test_plot_cli(tmp_path):
     out = tmp_path / "s.svg"
     assert run(["generate", "--init", "(1,0),(0,1)", "--box", "10,10",
@@ -615,6 +621,17 @@ def test_zero_denominator_exits_2(monkeypatch, tmp_path, capsys, argv):
     _usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["embed", "--init", "(1,0),(1,1*sqrt2)", "--symbols", "sqrt2"],
+     "symbol 'sqrt2' needs a numeric value"),
+    (["embed", "--init", "(1,0),(1,1*sqrt3)", "--symbols", "sqrt2=1.4142135623730951"],
+     "undeclared symbol 'sqrt3'"),
+])
+def test_symbol_refusals_exit_2(monkeypatch, capsys, argv, named):
+    _fail_on_work(monkeypatch, ("embed_integer_lattice",))
+    assert named in _usage_error(capsys, argv)
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--init", "(1,0),(0,1", "--box", "3,3"],
     ["equiv", "--a", "(1,0),(0,1),(1,1", "--b", "(1,0),(0,1)"],
@@ -685,6 +702,16 @@ _COLUMNS = ["columns", "--init", "(2,0),(3,0),(0,1)", "--box", "70,3000"]
      {"initials": [[True, 0], [0, 1]], "bound": {"box": [5, 5]}}, "'initials'"),
     (["generate", "--config", "run.json"],
      {"initials": [[1, 3], [3, 4]], "modulus": True}, "'modulus'"),
+    # regions that miss the oracle's x = 2 slab, so they would check no cell
+    (["verify", "unit3d-hyperplane", "--box", "1,5,5"], None, "x = 2 slab"),
+    (["verify", "unit3d-hyperplane", "--level", "1"], None, "x = 2 slab"),
+    (["generate", "--init", "(1,0),(0,1)", "--box", "2,2", "--format", "svg",
+      "--radius", "-1"], None, "--radius must be a positive finite number"),
+    (["generate", "--init", "(1,0),(0,1)", "--box", "2,2", "--format", "svg",
+      "--radius", "nan"], None, "--radius must be a positive finite number"),
+    (["generate", "--config", "run.json"],
+     {"initials": [[1, 0], [0, 1]], "bound": {"box": [3, 3]}, "size": "max"},
+     "unknown size function 'max'"),
 ])
 def test_refused_values_exit_2_before_any_work(
         monkeypatch, tmp_path, capsys, argv, doc, named):

@@ -232,6 +232,19 @@ def test_column_word_range_guard():
         column_word(s, index=3, lo=0, hi=50)
 
 
+def test_column_word_refuses_a_set_that_is_not_planar():
+    s = generate(validate_config([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3), Bound.box((3, 3, 3)))
+    with pytest.raises(RangeExceedsBound):
+        column_word(s, index=1, lo=0, hi=3)
+
+
+@pytest.mark.parametrize("lo,hi,step", [(5, 4, 1), (0, 4, 0)])
+def test_column_word_refuses_an_empty_range_or_a_step_below_one(lo, hi, step):
+    s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((11, 10)))
+    with pytest.raises(ValueError, match="step >= 1"):
+        column_word(s, index=3, lo=lo, hi=hi, step=step)
+
+
 def test_column_word_single_symbol():
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((11, 10)))
     assert column_word(s, index=1, lo=4, hi=4) == "1"

@@ -73,6 +73,9 @@ _PLANE = validate_config([(1, 0), (0, 1)], 2)
      "box has 3 limits for dimension 2"),
     (lambda: generate(_PLANE, Bound.box((3, 3)), SizeFunction.weighted_sum((1, 2, 3))),
      DimensionMismatch, "3 weights for dimension 2"),
+    (lambda: SizeFunction.weighted_sum((1, 0)), ValueError,
+     "weighted-sum requires positive rational weights"),
+    (lambda: SizeFunction("max").value((1, 2)), ValueError, "unknown size function kind 'max'"),
 ])
 def test_bound_config_and_weight_refusals(call, exc, message):
     with pytest.raises(exc) as info:
@@ -631,6 +634,13 @@ def test_a_refused_level_bound_names_itself():
         generate(units, Bound.level(600))
     assert str(err.value) == ("level 600 in dimension 3, a 601x601x601 grid: "
                               "434163602 bytes, over the limit of 300000000")
+
+
+def test_a_refused_box_of_another_size_function_names_the_box(monkeypatch):
+    monkeypatch.setattr(core, "_MAX_BYTES", 38)
+    with pytest.raises(GridTooLarge) as err:
+        generate(_PLANE, Bound.box((3, 4)), SizeFunction.euclidean_norm_squared())
+    assert str(err.value) == "the 4x5 box, a 4x8 grid: 64 bytes, over the limit of 38"
 
 
 def test_column_spectra_over_the_byte_cap_fall_back_to_the_level_engine(monkeypatch):

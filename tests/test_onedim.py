@@ -181,11 +181,8 @@ def test_matches_the_value_by_value_scan_on_the_seq1d_inputs(initials, n_terms):
 
 # Estimate the frequency after 16 members instead of 2000 and never fall
 # back to full counts, so that short sequences run the outlier phase; track
-# only two members of J and pull in heads of four, so that both stages of
-# the pull count run as well.
-_SMALL_PHASES = dict(
-    _FIRST_ESTIMATE=16, _TRACKED_J=2, _PULL_HEAD=4, _MAX_OUTLIER_SHARE=1.0
-)
+# only two members of J, so that pull counts run as well.
+_SMALL_PHASES = dict(_FIRST_ESTIMATE=16, _TRACKED_J=2, _MAX_OUTLIER_SHARE=1.0)
 _INITIALS = st.lists(st.integers(1, 30), min_size=2, max_size=3, unique=True)
 
 
