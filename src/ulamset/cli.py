@@ -416,6 +416,9 @@ def _cmd_signal(args) -> int:
     check_grid_step(args.coarse_step)
     if args.set_init is not None:
         # exploratory: scan x-coordinates of members along a fixed row
+        reach = args.level if args.box is None else (args.box * 2)[1]
+        if reach is not None and not 0 <= args.row <= reach:
+            raise ValueError(f"--row {args.row} is outside the bound's rows 0..{reach}")
         uset = _ulam_set(args, args.set_init, 2)
         c = uset.coords
         xs = sorted(c[(c[:, 1] == args.row) & (c[:, 0] > 0), 0].tolist())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UlamSet
+from .core import UlamSet, _transform_chains
 from .errors import BadAlphabet, RangeExceedsBound
 
 DEFAULT_MAX_PERIOD = 64
@@ -41,15 +41,13 @@ def transform_t(word: str) -> str:
     """Apply the two-case recurrence mapping {0,1,2} words to {0,1} words.
 
     Output symbol i is 1 exactly when the input symbol plus the previous
-    output symbol equals 1.
+    output symbol equals 1: the column sweep's chain transform at lag 1
+    with no initials.
     """
     _check_word(word, "012")
-    out = []
-    prev = 0
-    for ch in word:
-        prev = 1 if int(ch) + prev == 1 else 0
-        out.append("1" if prev else "0")
-    return "".join(out)
+    counts = np.frombuffer(word.encode("ascii"), dtype=np.uint8) - ord("0")
+    out = _transform_chains(counts, np.zeros(counts.size, dtype=bool), 1)
+    return (out.view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def classify_period_doubling(pattern: str) -> str:

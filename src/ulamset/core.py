@@ -54,13 +54,14 @@ Point = tuple[int, ...]
 # when its spectra, which take more than 4x the level grid, fit.
 _MAX_BYTES = 300_000_000
 
-# Count dtype of the dense engine per bound kind.  The counts saturate (see
-# _generate_dense), so a clamp every max - 2 admissions keeps them exact.
-# uint8 halves the bytes each box slice-add streams (0.06 against 0.10 ns per
-# cell over a whole 71 x 3001 grid), and a uint8 clamp of that grid costs
-# about 15 us, well under 1 us per admission.  The level branch keeps uint16:
-# a uint8 clamp of the 471^3 grid costs about 15 ms, and a level-470 run would
-# clamp 670 times (10 s, against two clamps with uint16).
+# Count dtype of the level engine per bound kind.  The counts saturate (see
+# _generate_levels), so a clamp every max - 2 admissions keeps them exact.
+# uint8 halves the bytes each box slice-add streams (0.04-0.05 against
+# 0.06-0.10 ns per cell over the whole 3001 x 141 grid of the (3000,70) box,
+# best of seven in three runs, 2-vCPU Xeon, numpy 2.4), and a uint8 clamp of
+# that grid costs about 25 us, about 0.1 us per admission.  The level branch
+# keeps uint16: a uint8 clamp of the 471^3 grid costs about 15 ms, and a
+# level-470 run would clamp 670 times (10 s, against two clamps with uint16).
 _COUNT_DTYPE = {"box": np.uint8, "level": np.uint16}
 
 # Admissions between two clamps, per bound kind, and the cells per numpy call
@@ -299,17 +300,19 @@ def generate(config: InitialConfig, bound: Bound, sizefn: SizeFunction | None = 
     sizefn.check_dim(config.dim)
     _check_bound_dim(config.dim, bound)
     _check_initials_in_bound(config, bound, sizefn)
-    if sizefn.kind == "coordinate-sum":
-        return _generate_dense(config, bound)
     box = bound
-    if bound.kind == "level":
+    if bound.kind == "level" and sizefn.kind != "coordinate-sum":
         box = Bound.box([_axis_limit(sizefn, config.dim, i, bound.cap) for i in range(config.dim)])
+    x = _sweep_axis(config, box)
     try:
-        coords = _generate_dense(config, box).coords
+        uset = _generate_levels(config, box) if x is None else _generate_columns(config, box, x)
     except GridTooLarge as err:
         if box is bound:
             raise
         raise GridTooLarge(f"{sizefn.kind} level {bound.cap} in dimension {config.dim}, {err}") from None
+    if sizefn.kind == "coordinate-sum":
+        return uset
+    coords = uset.coords
     rows = coords.tolist()
     fvals = [sizefn.value(p) for p in rows]
     kept = [i for i, f in enumerate(fvals) if bound.contains(rows[i], f)]
@@ -352,21 +355,6 @@ def _clamp(counts, twos) -> None:
     for i in range(0, counts.size, step):
         part = counts[i:i + step]
         np.minimum(part, twos[:part.size], out=part)
-
-
-def _generate_dense(config: InitialConfig, bound: Bound) -> UlamSet:
-    """Coordinate-sum engine: the column sweep on the 2-D boxes that
-    :func:`_sweep_axis` admits, the level engine on every other bound.
-
-    The sweep runs only when its spectra fit in ``_MAX_BYTES``, and they
-    take 16 (l_0 + 1)(l_1 + 1) bytes or more, over 4x the level grid's
-    2 (l_0 + 1) min(2 l_1 + 1, l_0 + l_1 + 1), so only the level engine
-    needs to refuse a request, and the choice never changes which are.
-    """
-    x = _sweep_axis(config, bound)
-    if x is None:
-        return _generate_levels(config, bound)
-    return _generate_columns(config, bound, x)
 
 
 def _check_bytes(nbytes: int, request: str) -> None:
@@ -502,10 +490,7 @@ def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
             n += 1
 
     # admission order is (level, lex) order, so no sort is needed
-    coords = np.empty((n, d), dtype=np.int64)
-    rest = mflats[:n]
-    for i, s in enumerate(stride_list):
-        coords[:, i], rest = np.divmod(rest, s)
+    coords = np.stack(np.unravel_index(mflats[:n], radix), axis=1)
     coords.flags.writeable = False
     return UlamSet(config, SizeFunction.coordinate_sum(), bound, coords)
 
@@ -518,7 +503,10 @@ def _sweep_axis(config: InitialConfig, bound: Bound) -> int | None:
     16 (l_x + 1)(N/2 + 1) bytes, fit in ``_MAX_BYTES``.  Sweeping the
     longer axis is exact too, but slower than the level engine:
     (2,0),(3,0),(0,1) on the (3000,70) box took 1.31 s against 0.12 s
-    (in-process, 2-vCPU Xeon).
+    (in-process, 2-vCPU Xeon).  The spectra take over 4x the level grid of
+    the same box, 2 (l_0 + 1) min(2 l_1 + 1, l_0 + l_1 + 1) bytes, so only
+    the level engine ever refuses a request, and this choice never changes
+    which are.
     """
     if config.dim != 2 or bound.kind != "box":
         return None
@@ -568,13 +556,9 @@ def _generate_columns(config: InitialConfig, bound: Bound, x: int) -> UlamSet:
     raises RuntimeError, an internal error.
 
     With the cross count c, (X, Y) is a member iff it is an initial or
-    c + [(X, Y - delta) is a member] == 1.  Along each chain Y = r mod delta
-    that is a two-state recurrence: c = 0 keeps the state of Y - delta,
-    c = 1 flips it, and c >= 2 (state 0) or an initial (state 1) resets
-    it.  A row of resets to 0 is put before the box, and each state is its
-    last reset's value XOR the parity of the flips since, for every chain
-    at once by one cumsum and one maximum.accumulate.  Without a column-0
-    member a point is a member iff it is an initial or c == 1.
+    c + [(X, Y - delta) is a member] == 1: the word transform T along the
+    chains of lag delta, :func:`_transform_chains`, with delta = 0 when
+    column 0 has no member.
     """
     y = 1 - x
     lx, ly = bound.limits[x], bound.limits[y]
@@ -586,11 +570,6 @@ def _generate_columns(config: InitialConfig, bound: Bound, x: int) -> UlamSet:
     spectra = [None] * lx  # of columns 1..lx-1, kept for the nonempty ones
     zero = np.flatnonzero(grid[0])
     delta = int(zero[0]) if zero.size else 0
-    if delta:
-        rows = -(-n // delta) + 1
-        row = np.arange(rows)[:, None]
-        count = np.zeros(rows * delta)
-        init = np.zeros(rows * delta, dtype=bool)
 
     for X in range(1, lx + 1):
         pairs = np.zeros(size // 2 + 1, dtype=np.complex128)
@@ -609,19 +588,7 @@ def _generate_columns(config: InitialConfig, bound: Bound, x: int) -> UlamSet:
             raise RuntimeError(
                 f"internal error: a pair count of column {X} is {off} off an integer"
             )
-        if not delta:
-            grid[X] |= c == 1
-        else:
-            count[delta:delta + n] = c
-            init[delta:delta + n] = grid[X]
-            c2 = count.reshape(rows, delta)
-            i2 = init.reshape(rows, delta)
-            reset = (c2 >= 2) | i2
-            reset[0] = True
-            par = np.cumsum((c2 == 1) & ~reset, axis=0, dtype=np.uint8) & 1
-            last = np.maximum.accumulate(np.where(reset, row, 0), axis=0)
-            state = np.take_along_axis(i2 ^ par, last, axis=0) ^ par
-            grid[X] = state.ravel()[delta:delta + n]
+        grid[X] = _transform_chains(c, grid[X], delta)
         if X < lx and grid[X].any():
             spectra[X] = np.fft.rfft(grid[X], size)
 
@@ -632,6 +599,39 @@ def _generate_columns(config: InitialConfig, bound: Bound, x: int) -> UlamSet:
     coords = coords[np.lexsort((coords[:, 1], coords[:, 0], cx + cy))]
     coords.flags.writeable = False
     return UlamSet(config, SizeFunction.coordinate_sum(), bound, coords)
+
+
+def _transform_chains(counts: np.ndarray, initials: np.ndarray, delta: int) -> np.ndarray:
+    """Membership of a column from its counts: the word transform T along
+    each chain Y = r mod delta.
+
+    A point is a member iff it is an initial or its count c plus
+    [the point delta below it is a member] is 1; below Y = 0 nothing is a
+    member, and delta = 0 means there is no chain, so a point is a member
+    iff it is an initial or c == 1.  Along a chain that is a two-state
+    recurrence: c = 0 keeps the state of Y - delta, c = 1 flips it, and
+    c >= 2 (state 0) or an initial (state 1) resets it.  A row of count 2,
+    a reset to 0, is put before the column, and each state is its last
+    reset's value XOR the parity of the flips since, for every chain at
+    once by one cumsum and one maximum.accumulate.  At delta = 1 with no
+    initials this is Kravitz-Steinerberger's T of a count word over
+    {0,1,2}, :func:`ulamset.columns.transform_t`.
+    """
+    if not delta:
+        return initials | (counts == 1)
+    n = counts.size
+    rows = -(-n // delta) + 1
+    c = np.full((rows, delta), 2, dtype=counts.dtype)
+    i = np.zeros((rows, delta), dtype=bool)
+    c.ravel()[delta:delta + n] = counts
+    i.ravel()[delta:delta + n] = initials
+    reset = (c >= 2) | i
+    par = np.cumsum((c == 1) & ~reset, axis=0, dtype=np.uint8) & 1
+    flat = np.arange(c.size).reshape(rows, delta)
+    # each chain's last reset, by flat index: it grows down a chain
+    last = np.maximum.accumulate(np.where(reset, flat, 0), axis=0)
+    state = (i ^ par).ravel()[last] ^ par
+    return state.ravel()[delta:delta + n]
 
 
 # ---------------------------------------------------------------------------

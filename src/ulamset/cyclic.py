@@ -61,7 +61,7 @@ def generate_cyclic(initials, modulus: int, x_bound: int) -> CyclicUlamSet:
     last member; sums past x_bound fall off).  The count of (x, r) is the
     fold c[x, r] + c[x, r + n].  This is exact:
 
-    1. The counts saturate as in :func:`ulamset.core._generate_dense`, so a
+    1. The counts saturate as in :func:`ulamset.core._generate_levels`, so a
        cell is 0, 1 or >= 2 as its true count is.  Between clamps a cell
        reaches 255, and 255 + 2 wraps to 1 in uint8, so the fold adds the
        halves as uint16, and it is 1 iff the true count is 1.

@@ -81,6 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_bytes
 from .errors import InvalidInitials, TooShort
 from .signal import _COARSE_STEP, fourier_sums
 
@@ -204,17 +205,21 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
 
     inits = tuple(sorted(inits))
     k = len(inits)
+    slots = max(1024, n_terms + k)
+    size = _GROWTH * (2 * inits[-1] + 1)
+    # up front only: a uint32 count and a bool per value, two int64 member
+    # arrays; the arrays grow later unchecked
+    _check_bytes(5 * size + 16 * slots, f"{n_terms} terms from the initials {inits}")
 
     # j = 0 until the first estimate: every member is an outlier
     j = 0
-    tracked = np.empty(max(1024, n_terms + k), dtype=np.int64)  # outliers and a few members of J
+    tracked = np.empty(slots, dtype=np.int64)  # outliers and a few members of J
     tracked[:k] = inits
     nt = k
     j_members = np.empty_like(tracked)  # the other members of J
     nj = 0
     next_estimate = _FIRST_ESTIMATE
 
-    size = _GROWTH * (2 * inits[-1] + 1)
     counts = np.zeros(size, dtype=np.uint32)
     in_j = np.zeros(size, dtype=bool)  # value is in j_members
     for i in range(k):

@@ -48,6 +48,21 @@ def test_kernel_trivial_for_unit_vectors():
     assert characteristic_lattice([(1, 0), (0, 1)]).basis == ()
 
 
+def test_rank_counts_the_kernel_basis():
+    assert characteristic_lattice([(1, 0), (0, 1), (1, 1)]).rank == 1
+    assert characteristic_lattice([(1, 0), (0, 1)]).rank == 0
+    assert characteristic_lattice([(1,), (2,), (3,)]).rank == 2
+
+
+def test_plain_numbers_are_one_dimensional_vectors():
+    assert characteristic_lattice([1, 2]) == characteristic_lattice([(1,), (2,)])
+    assert characteristic_lattice([1, 2]).basis == ((2, -1),)
+
+
+def test_integer_kernel_of_no_rows_is_empty():
+    assert integer_kernel([]) == ()
+
+
 def test_kernel_trivial_with_symbolic_coordinate():
     v1 = sym_vector([1, 0], ("sqrt2",))
     v2 = sym_vector([1, (0, 1)], ("sqrt2",))
@@ -282,6 +297,21 @@ def test_prime_log_order_is_the_prime_product_order(pair):
     assert pa == math.prod(p ** e for p, e in zip((2, 3, 5, 7), a))
     assert (PrimeLogReal(a) < PrimeLogReal(b)) == (pa < pb)
     assert (PrimeLogReal(a) <= PrimeLogReal(b)) == (pa <= pb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(*[st.lists(st.integers(0, 9), min_size=d, max_size=d).filter(any)] * 3)
+))
+def test_prime_log_images_add_as_the_points_do(triple):
+    u, v, w = (tuple(e) for e in triple)
+    uv = tuple(a + b for a, b in zip(u, v))
+    image = {p: embed_one_dimensional([p])[0] for p in (u, v, w, uv)}
+    total = image[u] + image[v]
+    assert total == image[uv] == PrimeLogReal(uv)
+    size = PrimeProductSize(len(u))
+    assert (total < image[w]) == (size.value(uv) < size.value(w))
+    assert (total <= image[w]) == (size.value(uv) <= size.value(w))
 
 
 def test_embedded_order_replays_lattice_generation():

@@ -6,6 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ulamset import Bound, cli, core, generate, validate_config
@@ -712,6 +713,13 @@ _COLUMNS = ["columns", "--init", "(2,0),(3,0),(0,1)", "--box", "70,3000"]
     (["generate", "--config", "run.json"],
      {"initials": [[1, 0], [0, 1]], "bound": {"box": [3, 3]}, "size": "max"},
      "unknown size function 'max'"),
+    # a scanned row outside the bound's rows
+    (["signal", "--set-init", "(1,0),(0,1)", "--box", "10,10", "--row", "50"], None,
+     "--row 50 is outside the bound's rows 0..10"),
+    (["signal", "--set-init", "(1,0),(0,1)", "--box", "10,10", "--row", "-1"], None,
+     "--row -1 is outside the bound's rows 0..10"),
+    (["signal", "--set-init", "(1,0),(0,1)", "--level", "10", "--row", "11"], None,
+     "--row 11 is outside the bound's rows 0..10"),
 ])
 def test_refused_values_exit_2_before_any_work(
         monkeypatch, tmp_path, capsys, argv, doc, named):
@@ -720,6 +728,14 @@ def test_refused_values_exit_2_before_any_work(
     if doc is not None:
         (tmp_path / "run.json").write_text(json.dumps(doc))
     assert named in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("command", ["generate", "signal"])
+def test_an_impossible_sequence_exits_2_before_it_allocates(monkeypatch, capsys, command):
+    monkeypatch.setattr(np, "zeros", _no_work)
+    monkeypatch.setattr(np, "empty", _no_work)
+    argv = [command, "--init", "1000000000000000,1000000000000001", "--terms", "5"]
+    assert "bytes, over the limit" in _usage_error(capsys, argv)
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -44,6 +44,22 @@ def test_transform_rejects_bad_alphabet():
         transform_t("")
 
 
+def _transform_by_loop(word: str) -> str:
+    """The transform one character at a time, as transform_t once ran it."""
+    out = []
+    prev = 0
+    for ch in word:
+        prev = 1 if int(ch) + prev == 1 else 0
+        out.append("1" if prev else "0")
+    return "".join(out)
+
+
+def test_transform_matches_the_character_loop_on_every_short_word():
+    for length in range(1, 9):
+        for word in map("".join, itertools.product("012", repeat=length)):
+            assert transform_t(word) == _transform_by_loop(word), word
+
+
 def test_classify_pinned():
     assert classify_period_doubling("1100") == "preserves"
     assert classify_period_doubling("01") == "doubles"

@@ -21,7 +21,6 @@ from ulamset import (
 )
 from ulamset import cli, columns, core, verify
 from ulamset.algebra import PrimeProductSize
-from ulamset.core import _generate_dense
 from ulamset.errors import (
     BoundTooSmall,
     DimensionMismatch,
@@ -318,13 +317,13 @@ def test_oracle_equivalence_random_1d(raw):
 def test_level_bound_dense_vs_reference_2d():
     cfg = validate_config([(1, 0), (2, 0), (0, 1)], 2)
     bound = Bound.level(25)
-    assert _generate_dense(cfg, bound).points == generate_reference(cfg, bound).points
+    assert generate(cfg, bound).points == generate_reference(cfg, bound).points
 
 
 def test_level_bound_engines_agree_3d():
     cfg = validate_config([(1, 0, 0), (0, 1, 0), (1, 1, 1)], 3)
     bound = Bound.level(14)
-    assert _generate_dense(cfg, bound).points == generate_reference(cfg, bound).points
+    assert generate(cfg, bound).points == generate_reference(cfg, bound).points
 
 
 def test_asymmetric_box_mask_correctness():
@@ -397,7 +396,7 @@ def test_dense_engine_exact_with_frequent_clamps(dim, data):
             core, "_SLICE_PER_MEMBER",
             data.draw(st.sampled_from([0, core._SLICE_PER_MEMBER, 10**9]), label="c"),
         )
-        assert _generate_dense(cfg, bound).points == want
+        assert generate(cfg, bound).points == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -421,7 +420,7 @@ def test_padded_layout_exact_on_elongated_boxes(dim, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_SLICE_PER_MEMBER",
                    data.draw(st.sampled_from([0, 10**9]), label="c"))
-        assert _generate_dense(cfg, bound).points == want
+        assert generate(cfg, bound).points == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -500,6 +499,28 @@ def test_column_sweep_refuses_an_inexact_pair_count(monkeypatch):
     cfg = validate_config([(2, 0), (3, 0), (0, 1)], 2)
     with pytest.raises(RuntimeError, match="internal error"):
         generate(cfg, Bound.box((10, 40)))
+
+
+def _chains_by_loop(counts, initials, delta):
+    """The word transform along each chain Y = r mod delta, one chain and
+    one point at a time; with delta = 0, each point on its own."""
+    out = [bool(i or c == 1) for c, i in zip(counts, initials)]
+    for r in range(delta):
+        prev = 0
+        for y in range(r, len(counts), delta):
+            prev = 1 if initials[y] or counts[y] + prev == 1 else 0
+            out[y] = bool(prev)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7), st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=200),
+       st.sampled_from([np.uint8, np.float64]))
+def test_chain_transform_matches_a_per_chain_loop(delta, points, dtype):
+    counts = [c for c, _ in points]
+    initials = [i for _, i in points]
+    got = core._transform_chains(np.array(counts, dtype=dtype), np.array(initials, dtype=bool), delta)
+    assert got.tolist() == _chains_by_loop(counts, initials, delta)
 
 
 def test_clamp_interval_is_dtype_max_minus_two():
@@ -699,7 +720,7 @@ def test_level_bound_allocates_exactly_its_cells(monkeypatch, dim, cap):
 
     monkeypatch.setattr(core.np, "zeros", recording)
     units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    _generate_dense(validate_config(units, dim), Bound.level(cap))
+    generate(validate_config(units, dim), Bound.level(cap))
     assert max(sizes) == (cap + 1) ** dim
 
 
@@ -862,6 +883,12 @@ def test_a_set_built_from_coords_agrees_with_its_fully_built_copy(raw, bound):
     assert s == full and hash(s) == hash(full)
     assert s.levels == tuple(map(sum, s.points))
     assert s == generate_reference(cfg, bound)
+
+
+def test_a_set_is_unequal_to_what_is_not_a_set():
+    s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((3, 3)))
+    assert s.__eq__(s.points) is NotImplemented
+    assert s != s.points and s != 0 and s not in [None, "x"]
 
 
 def _no_derivation(s):

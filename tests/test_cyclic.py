@@ -56,6 +56,10 @@ def test_mod6_matches_plotted_points_up_to_20():
     assert sorted(s.points) == FIG_MOD6_PREFIX
 
 
+def test_cyclic_repr_shows_modulus_bound_and_size():
+    assert repr(generate_cyclic([(1, 0), (2, 1)], 7, 12)) == "CyclicUlamSet(mod=7, x<=12, n=18)"
+
+
 def test_mod6_avoided_residues_empirical():
     s = generate_cyclic([(1, 3), (3, 4)], 6, 100)
     assert {r for _, r in s.points} == {1, 3, 4, 5}  # 0 and 2 never appear

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from ulamset import (
     Bound,
     consecutive_gaps,
+    core,
     fibonacci_bound_check,
     generate,
     onedim,
     ulam_sequence,
     validate_config,
 )
-from ulamset.errors import InvalidInitials, TooShort
+from ulamset.errors import GridTooLarge, InvalidInitials, TooShort
 
 CLASSIC_25 = (
     1, 2, 3, 4, 6, 8, 11, 13, 16, 18, 26, 28, 36, 38, 47, 48, 53, 57, 62,
@@ -69,6 +70,52 @@ def test_invalid_initials():
             ulam_sequence(bad, 10)
     with pytest.raises(InvalidInitials):
         ulam_sequence((1, 2), 1)
+
+
+def test_sequence_repr_shows_initials_length_and_head():
+    assert repr(ulam_sequence((1, 2), 10)) == (
+        "Sequence1D(initials=(1, 2), n=10, [1, 2, 3, 4, 6, 8, 11, 13, ...])")
+
+
+def test_the_up_front_bytes_are_held_to_the_budget(monkeypatch):
+    """(1, 2) at 10 terms states 2 (2*2 + 1) count values at 5 B and two
+    member arrays of 1024 slots at 8 B; (2, 4) states the same after the
+    common factor is taken out."""
+    need = 5 * 10 + 16 * 1024
+    monkeypatch.setattr(core, "_MAX_BYTES", need)
+    assert ulam_sequence((1, 2), 10).terms == CLASSIC_25[:10]
+    assert ulam_sequence((2, 4), 10).terms == tuple(2 * t for t in CLASSIC_25[:10])
+    monkeypatch.setattr(core, "_MAX_BYTES", need - 1)
+    with pytest.raises(GridTooLarge, match=f"10 terms from the initials \\(1, 2\\): {need} bytes"):
+        ulam_sequence((1, 2), 10)
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("allocated before the byte check")
+
+
+@pytest.mark.parametrize("initials", [(2**40, 3), (10**15, 10**15 + 1)])
+def test_an_impossible_request_is_refused_before_it_allocates(monkeypatch, initials):
+    monkeypatch.setattr(np, "zeros", _no_allocation)
+    monkeypatch.setattr(np, "empty", _no_allocation)
+    with pytest.raises(GridTooLarge):
+        ulam_sequence(initials, 10)
+
+
+class _Started(Exception):
+    pass
+
+
+def _started(*args, **kwargs):
+    raise _Started
+
+
+@pytest.mark.parametrize("n_terms", [10**6, 10**7])
+def test_long_runs_of_one_two_pass_the_byte_check(monkeypatch, n_terms):
+    """16 MB and 160 MB up front: the run gets as far as its first allocation."""
+    monkeypatch.setattr(np, "empty", _started)
+    with pytest.raises(_Started):
+        ulam_sequence((1, 2), n_terms)
 
 
 def test_gaps_basic():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,12 @@ from ulamset.signal import (
 def test_cosine_sum_alternating_cancellation():
     seq = Sequence1D((1, 2), (1, 2, 3, 4))
     assert abs(cosine_sum(seq, math.pi)) < 1e-12
+
+
+def test_scan_repr_shows_the_minimiser_and_grid():
+    scan = alpha_scan(ulam_sequence((1, 2), 200))
+    assert re.fullmatch(r"SignalScan\(best_alpha=2\.571\d{6}, best_value=-0\.\d{4}, "
+                        r"grid=524288\)", repr(scan))
 
 
 def test_cosine_sum_at_zero_is_count():
