@@ -30,7 +30,7 @@ from .algebra import (
     sym_vector,
 )
 from .columns import DEFAULT_MAX_PERIOD, DEFAULT_MIN_EVIDENCE, check_column_args, columns_report
-from .core import Bound, SizeFunction, UlamSet, generate, validate_config
+from .core import Bound, SizeFunction, UlamSet, _check_bound_dim, generate, validate_config
 from .cyclic import generate_cyclic
 from .errors import DimensionMismatch, UlamError
 from .onedim import Sequence1D, ulam_sequence
@@ -204,16 +204,16 @@ def _sizefn_from_args(args) -> SizeFunction:
     raise ValueError(f"unknown size function {args.size!r}")
 
 
-def _ulam_set(args, initials, dim: int, sizefn: SizeFunction | None = None) -> UlamSet:
-    """The set grown from ``initials`` of dimension ``dim`` within --box or --level."""
-    cfg = validate_config(initials, dim)
+def _bound(args, dim: int) -> Bound:
+    """The run's --box or --level bound in dimension ``dim``; a one-value
+    --box holds on every axis."""
     if getattr(args, "level", None) is not None:  # columns takes --box only
-        bound = Bound.level(args.level)
-    elif args.box is None:
+        return Bound.level(args.level)
+    if args.box is None:
         raise ValueError("one of --box or --level is required")
-    else:
-        bound = Bound.box(args.box * cfg.dim if len(args.box) == 1 else args.box)
-    return generate(cfg, bound, sizefn)
+    bound = Bound.box(args.box * dim if len(args.box) == 1 else args.box)
+    _check_bound_dim(dim, bound)
+    return bound
 
 
 def _json(doc: dict) -> str:
@@ -333,7 +333,8 @@ def _generate_output(args) -> tuple:
             "count": len(cset.points),
             "points": cset.points,
         }
-    uset = _ulam_set(args, args.init, len(args.init[0]), _sizefn_from_args(args))
+    dim = len(args.init[0])
+    uset = generate(validate_config(args.init, dim), _bound(args, dim), _sizefn_from_args(args))
     bound = uset.bound
     return uset.coords, None, lambda: {
         "config": {"dim": uset.dim, "initials": uset.config.initials},
@@ -368,7 +369,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_columns(args) -> int:
     check_column_args(args.max_period, args.min_evidence, args.step)
-    uset = _ulam_set(args, args.init, 2)
+    uset = generate(validate_config(args.init, 2), _bound(args, 2))
     rep = columns_report(
         uset, step=args.step, max_period=args.max_period, min_evidence=args.min_evidence,
     )
@@ -416,11 +417,11 @@ def _cmd_signal(args) -> int:
     check_grid_step(args.coarse_step)
     if args.set_init is not None:
         # exploratory: scan x-coordinates of members along a fixed row
-        reach = args.level if args.box is None else (args.box * 2)[1]
-        if reach is not None and not 0 <= args.row <= reach:
+        bound = _bound(args, 2)
+        reach = bound.reach(2)[1]
+        if not 0 <= args.row <= reach:
             raise ValueError(f"--row {args.row} is outside the bound's rows 0..{reach}")
-        uset = _ulam_set(args, args.set_init, 2)
-        c = uset.coords
+        c = generate(validate_config(args.set_init, 2), bound).coords
         xs = sorted(c[(c[:, 1] == args.row) & (c[:, 0] > 0), 0].tolist())
         if len(xs) < 2:
             print("row has too few members to scan", file=sys.stderr)
@@ -463,13 +464,13 @@ def _verify_reads(args) -> str:
 
 def _cmd_verify(args) -> int:
     oracle = get_oracle(args.oracle, args.m, args.n)
+    bound = _bound(args, oracle.dim)
     if oracle.slab is not None:  # a region short of the oracle's one slab checks no cell
         axis, value = oracle.slab
-        reach = args.level if args.box is None else (args.box * oracle.dim)[axis]
-        if reach is not None and reach < value:
+        if bound.reach(oracle.dim)[axis] < value:
             raise ValueError(f"the region stops short of the {'xyz'[axis]} = {value} slab "
                              f"that {oracle.oracle_id} covers, so no cell would be checked")
-    uset = _ulam_set(args, oracle.initials if args.init is None else args.init, oracle.dim)
+    uset = generate(validate_config(args.init or oracle.initials, oracle.dim), bound)
     rep = compare_set_to_oracle(uset, oracle, uset.bound)
     if rep.ok:
         print(f"verified: {oracle.oracle_id} on {len(uset)} points, "

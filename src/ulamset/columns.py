@@ -156,15 +156,6 @@ def column_word(uset: UlamSet, index: int, lo: int, hi: int, step: int = 1) -> s
     return word[lo::step].tobytes().decode("ascii")
 
 
-def _member_grid(uset: UlamSet, shape) -> np.ndarray:
-    """uint8 grid over [0, shape): ASCII "1" at the members, "0" elsewhere."""
-    grid = np.full(shape, ord("0"), dtype=np.uint8)
-    pts = uset.coords
-    pts = pts[(pts < np.array(shape)).all(axis=1)]
-    grid[pts[:, 0], pts[:, 1]] = ord("1")
-    return grid
-
-
 @dataclass(frozen=True)
 class ColumnProfile:
     """Per-column eventual-periodicity report.
@@ -224,7 +215,8 @@ def columns_report(
     inconclusive: list[tuple[int, int]] = []
     violations: list[str] = []
     last_with: dict[int, int] = {}  # period -> last column with it
-    grid = _member_grid(uset, (hi_index + 1, hi_sweep + 1))  # one row per column
+    grid = uset.grid((0, 0), uset.bound.limits).view(np.uint8)
+    grid += ord("0")  # one row of ASCII "0"/"1" per column
     classes = []  # per residue: the words of every column, preperiods, periods
     for residue in range(min(step, hi_sweep + 1)):
         words = np.ascontiguousarray(grid[:, residue::step])

@@ -156,6 +156,12 @@ class Bound:
             return all(c <= l for c, l in zip(p, self.limits))
         return fval <= self.cap
 
+    def reach(self, dim: int) -> tuple[int, ...]:
+        """Largest coordinate on each of ``dim`` axes under the coordinate
+        sum: a box's limits, or the floor of the cap on every axis of a
+        level bound."""
+        return self.limits if self.kind == "box" else (int(self.cap),) * dim
+
 
 @dataclass(frozen=True)
 class InitialConfig:
@@ -266,6 +272,22 @@ class UlamSet:
     @cached_property
     def members(self) -> frozenset:
         return frozenset(self.points)
+
+    def grid(self, lo, hi) -> np.ndarray:
+        """Bool array over the box lo <= p <= hi, True exactly at the set's
+        points in it.
+
+        ``lo`` and ``hi`` give any integer per axis; an axis with hi < lo is
+        empty.  Cells outside the set's bound read False, not unknown, so a
+        caller that reads False as "not a member" checks its box against
+        the bound first.
+        """
+        lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+        out = np.zeros(np.maximum(hi + 1 - lo, 0), dtype=bool)
+        c = self.coords
+        c = c[((c >= lo) & (c <= hi)).all(axis=1)] - lo
+        out[tuple(c.T)] = True
+        return out
 
 
 def _check_initials_in_bound(config, bound, sizefn) -> None:
@@ -386,12 +408,11 @@ def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
     with u all lie in the bound.
     """
     d = config.dim
+    limits = bound.reach(d)
     if bound.kind == "box":
-        limits = bound.limits
         lmax = sum(limits)
         request = f"the {'x'.join(str(l + 1) for l in limits)} box"
     else:
-        limits = (int(bound.cap),) * d
         lmax = limits[0]
         request = f"level {bound.cap} in dimension {d}"
     dims = tuple(l + 1 for l in limits)

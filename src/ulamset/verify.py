@@ -217,6 +217,10 @@ def oracle_membership(oracle_id: str, p, m: int | None = None, n: int | None = N
         raise BadParameters(f"point {p} has wrong arity for {oracle.oracle_id}")
     if any(c < 0 for c in p):
         raise BadParameters(f"point {p} has negative coordinates")
+    if oracle.slab is not None and p[oracle.slab[0]] != oracle.slab[1]:
+        axis, value = oracle.slab
+        raise BadParameters(f"point {p} is off the {'xyz'[axis]} = {value} slab "
+                            f"that {oracle.oracle_id} covers")
     return bool(oracle.member(*p))
 
 
@@ -271,8 +275,9 @@ def compare_set_to_oracle(uset: UlamSet, oracle, region: Bound,
     The region must lie inside the set's generation bound, otherwise absent
     points would be truncation artifacts rather than disagreements.  The
     oracle is evaluated once on open coordinate grids over the region's
-    bounding box (over the slab alone for a slab oracle) and compared with a
-    boolean member grid filled from ``uset.coords``; the origin is skipped.
+    bounding box (over the slab alone for a slab oracle) and compared with
+    the set's member grid there, :meth:`UlamSet.grid`; the origin is
+    skipped.
     """
     if isinstance(oracle, str):
         oracle = get_oracle(oracle, m, n)
@@ -280,12 +285,11 @@ def compare_set_to_oracle(uset: UlamSet, oracle, region: Bound,
     if oracle.dim != dim:
         raise BadParameters(f"oracle {oracle.oracle_id} is {oracle.dim}-D, the set {dim}-D")
     _check_region_in_bound(uset, region)
+    hi = list(region.reach(dim))
     if region.kind == "box":
-        hi = list(region.limits)
         cells = math.prod(c + 1 for c in hi)
     else:
-        cap = int(region.cap)
-        hi = [cap] * dim
+        cap = hi[0]
         cells = math.comb(cap + dim, dim)
     lo = [0] * dim
     if oracle.slab is not None:
@@ -293,18 +297,13 @@ def compare_set_to_oracle(uset: UlamSet, oracle, region: Bound,
         lo[axis] = value
         hi[axis] = min(hi[axis], value)  # an empty slab when value is past it
     grids = np.ogrid[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
-    shape = tuple(max(b + 1 - a, 0) for a, b in zip(lo, hi))
+    got = uset.grid(lo, hi)
     lo = np.array(lo, dtype=np.int64)
-
-    got = np.zeros(shape, dtype=bool)
-    coords = uset.coords
-    coords = coords[((coords >= lo) & (coords <= np.array(hi))).all(axis=1)] - lo
-    got[tuple(coords.T)] = True
-    want = np.broadcast_to(oracle.member(*grids), shape)
+    want = np.broadcast_to(oracle.member(*grids), got.shape)
     missing = want > got
     extra = got > want
     if region.kind == "box":
-        checked = math.prod(shape)
+        checked = got.size
     else:
         # coordinate sum <= cap, built up without an integer array per cell
         inside = grids[-1] <= cap - sum(grids[:-1])

@@ -720,6 +720,13 @@ _COLUMNS = ["columns", "--init", "(2,0),(3,0),(0,1)", "--box", "70,3000"]
      "--row -1 is outside the bound's rows 0..10"),
     (["signal", "--set-init", "(1,0),(0,1)", "--level", "10", "--row", "11"], None,
      "--row 11 is outside the bound's rows 0..10"),
+    # a --box of the wrong length is refused for its length; one value holds on every axis
+    (["verify", "unit3d-hyperplane", "--box", "1,5"], None, "box has 2 limits for dimension 3"),
+    (["signal", "--set-init", "(1,0),(0,1)", "--box", "3,3,50", "--row", "40"], None,
+     "box has 3 limits for dimension 2"),
+    (["signal", "--set-init", "(1,0),(0,1)", "--box", "7", "--row", "8"], None,
+     "--row 8 is outside the bound's rows 0..7"),
+    (["verify", "unit3d-hyperplane", "--box", "1"], None, "x = 2 slab"),
 ])
 def test_refused_values_exit_2_before_any_work(
         monkeypatch, tmp_path, capsys, argv, doc, named):

@@ -17,7 +17,6 @@ from ulamset.columns import (
     ColumnProfile,
     ColumnsReport,
     PeriodFit,
-    _member_grid,
     classify_period_doubling,
     column_word,
     columns_report,
@@ -322,7 +321,7 @@ def test_column_words_match_set_lookups(raw, data):
     want = _lookup_word(s, index, lo, hi, step)
     assert column_word(s, index, lo, hi, step) == want
     if index >= 0:
-        grid = _member_grid(s, [l + 1 for l in limits])
+        grid = s.grid((0, 0), limits).view(np.uint8) + ord("0")
         assert _grid_word(grid, index, lo, hi, step) == want
 
 
@@ -431,7 +430,7 @@ def ref_columns_report(uset, step=1, max_period=DEFAULT_MAX_PERIOD,
     inconclusive = []
     violations = []
     seen_periods = []  # (index, period) lineage
-    grid = _member_grid(uset, [l + 1 for l in uset.bound.limits])
+    grid = uset.grid((0, 0), uset.bound.limits).view(np.uint8) + ord("0")
 
     for index in range(hi_index + 1):
         for residue in range(step):

@@ -771,6 +771,32 @@ def test_coords_hold_the_points_in_order(raw, bound, sizefn):
         s.coords[0, 0] = 5
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_grid_is_membership_over_any_box(dim, data):
+    """Negative corners, an axis with hi < lo and the empty set included."""
+    pts = data.draw(st.lists(st.tuples(*[st.integers(0, 6)] * dim), unique=True), label="pts")
+    s = core.UlamSet(validate_config([(1,) * dim], dim), SizeFunction.coordinate_sum(),
+                     Bound.box((6,) * dim), pts)
+    lo = data.draw(st.tuples(*[st.integers(-3, 7)] * dim), label="lo")
+    hi = data.draw(st.tuples(*[st.integers(-4, 8)] * dim), label="hi")
+    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+    want = np.array([p in s for p in itertools.product(*ranges)], dtype=bool)
+    got = s.grid(lo, hi)
+    assert got.dtype == bool and got.shape == tuple(map(len, ranges))
+    assert got.ravel().tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("bound,dim", [
+    (Bound.box((3, 0, 5)), 3), (Bound.box((4,)), 1), (Bound.level(0), 2),
+    (Bound.level(5), 1), (Bound.level(5), 3), (Bound.level(Fraction(7, 2)), 2),
+    (Bound.level(Fraction(1, 3)), 3),
+])
+def test_reach_is_the_largest_coordinate_per_axis(bound, dim):
+    pts = [p for p in itertools.product(range(8), repeat=dim) if bound.contains(p, sum(p))]
+    assert bound.reach(dim) == tuple(max(p[i] for p in pts) for i in range(dim))
+
+
 def test_coords_of_a_replaced_set_follow_its_points():
     assert [f.name for f in dataclasses.fields(core.UlamSet)] == ["config", "sizefn", "bound", "coords"]
     s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((6, 6)))

@@ -212,6 +212,18 @@ def test_axes_2_3_extra_membership():
     assert not oracle_membership(oid, (5, 5))
 
 
+def test_hyperplane_membership_answers_on_the_slab_only():
+    """Over the level-20 set's box: on x = 2 the oracle is membership (within
+    the level), and a point off the slab is refused, not answered."""
+    s = generate(validate_config([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3), Bound.level(20))
+    for p in product(range(21), repeat=3):
+        if p[0] != 2:
+            with pytest.raises(BadParameters, match="off the x = 2 slab"):
+                oracle_membership("unit3d-hyperplane", p)
+        elif sum(p) <= 20:
+            assert oracle_membership("unit3d-hyperplane", p) == (p in s)
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: get_oracle("case1", 4, 3),
      "parameters (4,3) classify as 'extra-vector-shifted', not 'extra-vector-even-even'"),
@@ -219,6 +231,8 @@ def test_axes_2_3_extra_membership():
      "point (1, 2, 3) has wrong arity for two-generators"),
     (lambda: oracle_membership("theorem1", (-1, 2)), "point (-1, 2) has negative coordinates"),
     (lambda: extra_vector_oracle(0, 3), "extra vector (0,3) must be positive"),
+    (lambda: oracle_membership("unit3d-hyperplane", (1, 5, 5)),
+     "point (1, 5, 5) is off the x = 2 slab that unit3d-hyperplane covers"),
 ])
 def test_oracle_refusals(call, message):
     with pytest.raises(BadParameters) as info:
@@ -453,7 +467,11 @@ def _oracle_pair(oracle_id, m=None, n=None):
 def test_fixed_predicates_match_reference(oracle_id, x, y, z):
     oracle, ref = _oracle_pair(oracle_id)
     for p in ((x, y, z)[:oracle.dim], (0,) * oracle.dim):
-        assert oracle_membership(oracle_id, p) == bool(ref.member(p))
+        if ref.in_scope(p):
+            assert oracle_membership(oracle_id, p) == bool(ref.member(p))
+        else:
+            with pytest.raises(BadParameters, match="slab"):
+                oracle_membership(oracle_id, p)
 
 
 @settings(max_examples=400, deadline=None)
