@@ -284,9 +284,12 @@ class UlamSet:
         """
         lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
         out = np.zeros(np.maximum(hi + 1 - lo, 0), dtype=bool)
-        c = self.coords
-        c = c[((c >= lo) & (c <= hi)).all(axis=1)] - lo
-        out[tuple(c.T)] = True
+        # one axis at a time: scalar compares and 1-D masks beat the (n, dim) ones
+        keep = np.logical_and.reduce([(c >= a) & (c <= b) for c, a, b in zip(self.coords.T, lo, hi)])
+        at = [c[keep] for c in self.coords.T]
+        for c, a in zip(at, lo):
+            c -= a  # each masked column is a copy, shifted in place
+        out[tuple(at)] = True
         return out
 
 
