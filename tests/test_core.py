@@ -542,6 +542,11 @@ DENSE_SHA256 = [
      "2b029c1ce55d5eb6030e21aa299c1b585968ecc1ff0ec8fc7a6a69bb4ab4b344"),
     ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], Bound.level(60), 2817,
      "71162734343985e8ab8e02aca6d8a7fdfab6aa3299d95e67dd2e8393a9889354"),
+    # level bounds, recorded with uint16 counts clamped every 65 533 admissions
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], Bound.level(200), 31092,
+     "f541bd3516c50a2fe3826923deb60b21dbaa3aa7addba5560825a8306d8e9744"),
+    ([(1, 0), (0, 1), (6, 7)], Bound.level(600), 45457,
+     "8ea42c21d4792a88b0879372fe727ff3d029006424700007a25b759b1b3b41bd"),
 ]
 
 
@@ -561,6 +566,17 @@ def test_column_box_140_12000_matches_its_frozen_checksum():
     assert len(s) == 190550
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c9f277fae03186c81755830a2ade453f7357d2cddc7f57b9942b9fda1042216c")
+
+
+def test_level_counts_saturate_past_255_representations():
+    """The (1, 2) sequence to 40000 on a level bound: 1841 values up to
+    40000 have more than 255 representations, and 17 of them a count of
+    1 mod 256 (20999 has 257), so counts that wrapped at 256 would admit
+    them."""
+    want = [t for t in ulam_sequence((1, 2), 3104).terms if t <= 40000]
+    assert want[-1] == 39988 and len(want) == 3103
+    s = generate(validate_config([(1,), (2,)], 1), Bound.level(40000))
+    assert s.coords[:, 0].tolist() == want
 
 
 _UNITS_3D = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
