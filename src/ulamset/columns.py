@@ -111,19 +111,20 @@ def _grid_periods(words: np.ndarray, max_period: int, needed_periods: int):
     Returns the (preperiod, period) arrays, period 0 where a row is
     inconclusive.  Each candidate period p takes one compare of the whole
     array with itself shifted by p; a row's minimal preperiod for p is the
-    position after its last break.
+    position after its last break, the first break of the reversed row.
     """
     rows, n = words.shape
     best_t = np.full(rows, n + 1)
     best_p = np.zeros(rows, dtype=np.int64)
     every = np.arange(rows)
+    rev = np.ascontiguousarray(words[:, ::-1])  # argmax scans contiguous rows
     for p in range(1, max_period + 1):
         needed = needed_periods * p
         if n < needed:
             break  # needed grows with p
-        breaks = words[:, :-p] != words[:, p:]
-        last = n - p - 1 - np.argmax(breaks[:, ::-1], axis=1)
-        t = np.where(breaks[every, last], last + 1, 0)
+        breaks = rev[:, p:] != rev[:, :-p]  # column j: the break at n - p - 1 - j
+        first = np.argmax(breaks, axis=1)
+        t = np.where(breaks[every, first], n - p - first, 0)
         better = (t <= n - needed) & (t < best_t)  # ascending p: first hit is minimal
         best_t[better] = t[better]
         best_p[better] = p

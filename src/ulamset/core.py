@@ -54,19 +54,18 @@ Point = tuple[int, ...]
 # when its spectra, which take more than 4x the level grid, fit.
 _MAX_BYTES = 300_000_000
 
-# Count dtype of the level engine per bound kind.  The counts saturate (see
-# _generate_levels), so a clamp every max - 2 admissions keeps them exact.
-# uint8 halves the bytes each box slice-add streams (0.04-0.05 against
-# 0.06-0.10 ns per cell over the whole 3001 x 141 grid of the (3000,70) box,
-# best of seven in three runs, 2-vCPU Xeon, numpy 2.4), and a uint8 clamp of
-# that grid costs about 25 us, about 0.1 us per admission.  The level branch
-# keeps uint16: a uint8 clamp of the 471^3 grid costs about 15 ms, and a
-# level-470 run would clamp 670 times (10 s, against two clamps with uint16).
-_COUNT_DTYPE = {"box": np.uint8, "level": np.uint16}
+# Count dtype of the level engine and of the cyclic grid.  Only the states 0,
+# 1 and >= 2 matter.  A level-bound update saturates each count at 2 itself;
+# the contiguous add of a box (and of the cyclic grid) cannot, so those are
+# clamped back to 2 every max - 2 admissions.  uint8 halves the bytes each
+# box slice-add streams (0.04-0.05 against 0.06-0.10 ns per cell over the
+# whole 3001 x 141 grid of the (3000,70) box, best of seven in three runs,
+# 2-vCPU Xeon, numpy 2.4), and a clamp of that grid costs about 25 us, about
+# 0.1 us per admission.
+_COUNT_DTYPE = np.uint8
 
-# Admissions between two clamps, per bound kind, and the cells per numpy call
-# of one clamp.
-_CLAMP_EVERY = {kind: int(np.iinfo(dt).max) - 2 for kind, dt in _COUNT_DTYPE.items()}
+# Admissions between two clamps, and the cells per numpy call of one clamp.
+_CLAMP_EVERY = int(np.iinfo(_COUNT_DTYPE).max) - 2
 _CLAMP_CHUNK = 1 << 16
 
 # The dense box branch updates the counts for a new member at flat index f by
@@ -407,8 +406,8 @@ def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
     carry out of an axis with R_k = 2 n_k - 1 needs a carry in, since
     u_k + w_k <= 2 n_k - 2).  Level L's batch is selected before its
     updates, so no count of level <= L is read again.  On a level bound u
-    adds 1 at ``f + g`` for the members of level <= cap - L only, whose sums
-    with u all lie in the bound.
+    adds 1, saturating at 2, at ``f + g`` for the members of level
+    <= cap - L only, whose sums with u all lie in the bound.
     """
     d = config.dim
     limits = bound.reach(d)
@@ -420,8 +419,8 @@ def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
         request = f"level {bound.cap} in dimension {d}"
     dims = tuple(l + 1 for l in limits)
     radix = dims[:1] + tuple(min(2 * n - 1, lmax + 1) for n in dims[1:])
-    # the counts, and on a box the member grid in the same dtype
-    per_cell = np.dtype(_COUNT_DTYPE[bound.kind]).itemsize * (1 + (bound.kind == "box"))
+    # one byte for the count, and on a box one for the member grid
+    per_cell = 1 + (bound.kind == "box")
     _check_bytes(per_cell * prod(radix), f"{request}, a {'x'.join(map(str, radix))} grid")
     cap = None if bound.kind == "box" else lmax
     cells = prod(radix)
@@ -448,18 +447,18 @@ def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
     def cells_at(L):
         return pbase[starts[max(L - limits[j], 0)]:starts[L + 1]] + L * sj
 
-    # Saturating counts: only the states 0, 1 and >= 2 matter.  Each
-    # admission adds at most 1 to any cell (its targets f + g are distinct),
-    # and after a clamp every value is <= 2, so no cell can pass the dtype's
-    # maximum within _CLAMP_EVERY admissions of the last clamp.  A clamp maps
-    # every value >= 2 to 2, so the test counts == 1 never changes.
-    dtype = _COUNT_DTYPE[bound.kind]
-    clamp_every = _CLAMP_EVERY[bound.kind]
-    counts = np.zeros(cells, dtype=dtype)
-    twos = np.full(min(cells, _CLAMP_CHUNK), 2, dtype=dtype)
+    # Saturating counts: only the states 0, 1 and >= 2 matter, and the
+    # targets f + g of one admission are distinct.  On a level bound each
+    # update writes min(count, 1) + 1, so every count stays <= 2.  On a box
+    # an admission adds at most 1 to any cell, and after a clamp every value
+    # is <= 2, so no cell can pass the dtype's maximum within _CLAMP_EVERY
+    # admissions of the last clamp.  A clamp maps every value >= 2 to 2, so
+    # the test counts == 1 never changes.
+    counts = np.zeros(cells, dtype=_COUNT_DTYPE)
     if cap is None:
+        twos = np.full(min(cells, _CLAMP_CHUNK), 2, dtype=_COUNT_DTYPE)
         # the member grid has the counts' dtype, so the add never casts
-        member = np.zeros(cells, dtype=dtype)
+        member = np.zeros(cells, dtype=_COUNT_DTYPE)
 
     # flat indices of the members in admission order; below[L] counts the
     # members of level < L
@@ -497,9 +496,9 @@ def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
             # members the level's points pair with: level <= cap - L
             pe_level = below[cap - L + 1] if cap - L < L else n + m
         for fl in batch.tolist():
-            if n and n % clamp_every == 0:
-                _clamp(counts, twos)
             if cap is None:
+                if n and n % _CLAMP_EVERY == 0:
+                    _clamp(counts, twos)
                 # two equivalent updates; pick the cheaper one per point
                 if last - fl < _SLICE_PER_MEMBER * n:
                     counts[fl:last + 1] += member[:last + 1 - fl]
@@ -509,8 +508,7 @@ def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
                 member[fl] = 1
             else:
                 idx = mflats[:min(pe_level, n)] + fl
-                if idx.size:
-                    counts[idx] += 1
+                counts[idx] = np.minimum(counts[idx], 1) + 1
             n += 1
 
     # admission order is (level, lex) order, so no sort is needed

@@ -390,7 +390,7 @@ def test_dense_engine_exact_with_frequent_clamps(dim, data):
     want = generate_reference(cfg, bound).points
     with pytest.MonkeyPatch.context() as mp:
         clamp = data.draw(st.integers(1, 3), label="clamp")
-        mp.setattr(core, "_CLAMP_EVERY", {"box": clamp, "level": clamp})
+        mp.setattr(core, "_CLAMP_EVERY", clamp)
         mp.setattr(core, "_CLAMP_CHUNK", data.draw(st.integers(1, 7), label="chunk"))
         mp.setattr(
             core, "_SLICE_PER_MEMBER",
@@ -435,7 +435,7 @@ def test_level_engine_exact_on_2d_boxes_with_frequent_clamps(data):
     want = generate_reference(cfg, bound).points
     with pytest.MonkeyPatch.context() as mp:
         clamp = data.draw(st.integers(1, 3), label="clamp")
-        mp.setattr(core, "_CLAMP_EVERY", {"box": clamp, "level": clamp})
+        mp.setattr(core, "_CLAMP_EVERY", clamp)
         mp.setattr(core, "_CLAMP_CHUNK", data.draw(st.integers(1, 7), label="chunk"))
         mp.setattr(
             core, "_SLICE_PER_MEMBER",
@@ -524,11 +524,9 @@ def test_chain_transform_matches_a_per_chain_loop(delta, points, dtype):
 
 
 def test_clamp_interval_is_dtype_max_minus_two():
-    """Each branch clamps its saturating counts every max - 2 admissions:
-    uint8 counts on a box, uint16 on a level bound."""
-    assert core._COUNT_DTYPE == {"box": np.uint8, "level": np.uint16}
-    for kind, dtype in core._COUNT_DTYPE.items():
-        assert core._CLAMP_EVERY[kind] == np.iinfo(dtype).max - 2
+    """The box branch clamps its uint8 counts every max - 2 admissions."""
+    assert core._COUNT_DTYPE is np.uint8
+    assert core._CLAMP_EVERY == np.iinfo(np.uint8).max - 2
 
 
 # sha256 of ";".join(",".join(coordinates)) over the points in output order,
@@ -666,11 +664,24 @@ def test_grid_at_the_cell_limit_is_generated(monkeypatch):
 
 
 def test_a_refused_level_bound_names_itself():
+    """Level 669 is the first refused cube level, at 1 B per cell."""
     units = validate_config([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     with pytest.raises(GridTooLarge) as err:
-        generate(units, Bound.level(600))
-    assert str(err.value) == ("level 600 in dimension 3, a 601x601x601 grid: "
-                              "434163602 bytes, over the limit of 300000000")
+        generate(units, Bound.level(669))
+    assert str(err.value) == ("level 669 in dimension 3, a 670x670x670 grid: "
+                              "300763000 bytes, over the limit of 300000000")
+
+
+class _Started(Exception):
+    pass
+
+
+def test_the_last_served_cube_level_passes_the_byte_check(monkeypatch):
+    """Level 668, a 669x669x669 grid of 299418309 bytes, gets as far as its
+    first allocation."""
+    monkeypatch.setattr(np, "zeros", mock.Mock(side_effect=_Started))
+    with pytest.raises(_Started):
+        generate(validate_config(_UNITS_3D, 3), Bound.level(668))
 
 
 def test_a_refused_box_of_another_size_function_names_the_box(monkeypatch):
