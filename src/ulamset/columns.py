@@ -151,10 +151,8 @@ def column_word(uset: UlamSet, index: int, lo: int, hi: int, step: int = 1) -> s
     far = (index, hi)
     if not uset.bound.contains(far, uset.sizefn.value(far)):
         raise RangeExceedsBound(f"column {index} up to {hi} leaves the bound")
-    ys = uset.coords[uset.coords[:, 0] == index, 1]
-    word = np.full(hi + 1, ord("0"), dtype=np.uint8)
-    word[ys[ys <= hi]] = ord("1")
-    return word[lo::step].tobytes().decode("ascii")
+    word = uset.grid((index, lo), (index, hi))[0, ::step].view(np.uint8) + ord("0")
+    return word.tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)

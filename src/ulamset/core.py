@@ -57,16 +57,15 @@ _MAX_BYTES = 300_000_000
 # Count dtype of the level engine and of the cyclic grid.  Only the states 0,
 # 1 and >= 2 matter.  A level-bound update saturates each count at 2 itself;
 # the contiguous add of a box (and of the cyclic grid) cannot, so those are
-# clamped back to 2 every max - 2 admissions.  uint8 halves the bytes each
-# box slice-add streams (0.04-0.05 against 0.06-0.10 ns per cell over the
-# whole 3001 x 141 grid of the (3000,70) box, best of seven in three runs,
-# 2-vCPU Xeon, numpy 2.4), and a clamp of that grid costs about 25 us, about
-# 0.1 us per admission.
+# clamped back to 2 every max - 2 admissions (:func:`_clamp`).  uint8 halves
+# the bytes each box slice-add streams (0.04-0.05 against 0.06-0.10 ns per
+# cell over the whole 3001 x 141 grid of the (3000,70) box, best of seven in
+# three runs, 2-vCPU Xeon, numpy 2.4), and a clamp of that grid costs about
+# 16 us (best of seven, same machine), under 0.1 us per admission.
 _COUNT_DTYPE = np.uint8
 
-# Admissions between two clamps, and the cells per numpy call of one clamp.
+# Admissions between two clamps.
 _CLAMP_EVERY = int(np.iinfo(_COUNT_DTYPE).max) - 2
-_CLAMP_CHUNK = 1 << 16
 
 # The dense box branch updates the counts for a new member at flat index f by
 # one contiguous add of the member grid over [f, last] when those are fewer
@@ -276,12 +275,15 @@ class UlamSet:
         """Bool array over the box lo <= p <= hi, True exactly at the set's
         points in it.
 
-        ``lo`` and ``hi`` give any integer per axis; an axis with hi < lo is
-        empty.  Cells outside the set's bound read False, not unknown, so a
-        caller that reads False as "not a member" checks its box against
-        the bound first.
+        ``lo`` and ``hi`` give any integer per axis of the set, and a corner
+        of another length raises :class:`DimensionMismatch`; an axis with
+        hi < lo is empty.  Cells outside the set's bound read False, not
+        unknown, so a caller that reads False as "not a member" checks its
+        box against the bound first.
         """
         lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+        if lo.shape != (self.dim,) or hi.shape != (self.dim,):
+            raise DimensionMismatch(f"corners {lo.tolist()} and {hi.tolist()} for dimension {self.dim}")
         out = np.zeros(np.maximum(hi + 1 - lo, 0), dtype=bool)
         # one axis at a time: scalar compares and 1-D masks beat the (n, dim) ones
         keep = np.logical_and.reduce([(c >= a) & (c <= b) for c, a, b in zip(self.coords.T, lo, hi)])
@@ -368,17 +370,17 @@ def _axis_limit(sizefn, dim: int, axis: int, cap) -> int:
 # Dense engine: numpy grids, coordinate-sum levels.
 
 
-def _clamp(counts, twos) -> None:
-    """Map every count >= 2 to 2, in place, in chunks of ``twos.size``.
+def _clamp(counts, n: int) -> None:
+    """Map every count >= 2 to 2, in place, when ``n`` admissions came
+    before and n is a positive multiple of ``_CLAMP_EVERY``.
 
-    numpy 2.4 has no SIMD loop for the minimum of an integer array and a
-    scalar: it runs at about 1 ns per cell, against 0.07 ns for the minimum
-    of two arrays, so the counts are clamped chunk by chunk against ``twos``.
+    numpy 2.4 takes its SIMD loop for ``clip`` only when both bounds are
+    scalars of the array's dtype: about 16 us on the 3001 x 141 grid of
+    the (3000,70) box, against 270-300 us for ``clip`` with Python-int
+    bounds or ``minimum`` with a scalar (best of seven, 2-vCPU Xeon).
     """
-    step = twos.size
-    for i in range(0, counts.size, step):
-        part = counts[i:i + step]
-        np.minimum(part, twos[:part.size], out=part)
+    if n and n % _CLAMP_EVERY == 0:
+        np.clip(counts, _COUNT_DTYPE(0), _COUNT_DTYPE(2), out=counts)
 
 
 def _check_bytes(nbytes: int, request: str) -> None:
@@ -456,7 +458,6 @@ def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
     # the test counts == 1 never changes.
     counts = np.zeros(cells, dtype=_COUNT_DTYPE)
     if cap is None:
-        twos = np.full(min(cells, _CLAMP_CHUNK), 2, dtype=_COUNT_DTYPE)
         # the member grid has the counts' dtype, so the add never casts
         member = np.zeros(cells, dtype=_COUNT_DTYPE)
 
@@ -497,8 +498,7 @@ def _generate_levels(config: InitialConfig, bound: Bound) -> UlamSet:
             pe_level = below[cap - L + 1] if cap - L < L else n + m
         for fl in batch.tolist():
             if cap is None:
-                if n and n % _CLAMP_EVERY == 0:
-                    _clamp(counts, twos)
+                _clamp(counts, n)
                 # two equivalent updates; pick the cheaper one per point
                 if last - fl < _SLICE_PER_MEMBER * n:
                     counts[fl:last + 1] += member[:last + 1 - fl]
@@ -709,13 +709,18 @@ def generate_reference(config: InitialConfig, bound: Bound, sizefn: SizeFunction
 
 
 def representation_count(p, members) -> int:
-    """Number of unordered pairs {u, v} of distinct members with u + v = p."""
+    """Number of unordered pairs {u, v} of distinct members with u + v = p.
+
+    A ``p`` of another dimension than a member raises :class:`DimensionMismatch`.
+    """
     p = tuple(p)
     if all(c == 0 for c in p):
         raise ZeroVector("representation counts are defined for nonzero points")
     mset = members.members if isinstance(members, UlamSet) else frozenset(
         tuple(m) for m in members
     )
+    if any(len(u) != len(p) for u in mset):
+        raise DimensionMismatch(f"point {p} does not have the members' dimension")
     ordered = 0
     for u in mset:
         v = tuple(a - b for a, b in zip(p, u))

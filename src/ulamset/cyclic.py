@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _CLAMP_CHUNK, _CLAMP_EVERY, _COUNT_DTYPE, _check_bytes, _clamp
+from .core import _COUNT_DTYPE, _check_bytes, _clamp
 from .errors import BoundTooSmall, DuplicateVector, InconclusiveBound, InvalidInitials
 
 CyclicPoint = tuple[int, int]  # (x, residue)
@@ -61,11 +61,11 @@ def generate_cyclic(initials, modulus: int, x_bound: int) -> CyclicUlamSet:
     last member; sums past x_bound fall off).  The count of (x, r) is the
     fold c[x, r] + c[x, r + n].  This is exact:
 
-    1. The counts are clamped as on a box in
-       :func:`ulamset.core._generate_levels`, so a cell is 0, 1 or >= 2 as
-       its true count is.  Between clamps a cell reaches 255, and 255 + 2
-       wraps to 1 in uint8, so the fold adds the halves as uint16, and it
-       is 1 iff the true count is 1.
+    1. Before each add, the cells it reaches and the number of members so
+       far go to :func:`ulamset.core._clamp`, which clamps them as on a
+       box, so a cell is 0, 1 or >= 2 as its true count is.  Between clamps a
+       cell reaches 255, and 255 + 2 wraps to 1 in uint8, so the fold adds
+       the halves as uint16, and it is 1 iff the true count is 1.
     2. Every member has x >= 1, so its add lands on later rows only, and
        row x is selected before its members add: the row is complete when
        read, and none of its cells is a member yet.  Initials join their
@@ -103,7 +103,6 @@ def generate_cyclic(initials, modulus: int, x_bound: int) -> CyclicUlamSet:
     _check_bytes(2 * cells, f"x_bound {x_bound} mod {modulus}, a {x_bound + 1}x{width} grid")
     counts = np.zeros(cells, dtype=_COUNT_DTYPE)
     member = np.zeros_like(counts)
-    twos = np.full(min(cells, _CLAMP_CHUNK), 2, dtype=counts.dtype)
     rows = counts.reshape(x_bound + 1, width)
     init_by_x: dict[int, list[int]] = {}
     for x, r in inits:
@@ -118,8 +117,7 @@ def generate_cyclic(initials, modulus: int, x_bound: int) -> CyclicUlamSet:
         for f in (x * width + np.flatnonzero(batch)).tolist():
             # every earlier add ended at or before this one's end
             end = min(cells, f + (flats[-1] + 1 if flats else 0))
-            if flats and len(flats) % _CLAMP_EVERY == 0:
-                _clamp(counts[:end], twos)
+            _clamp(counts[:end], len(flats))
             counts[f:end] += member[:end - f]
             member[f] = 1
             flats.append(f)

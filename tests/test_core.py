@@ -143,6 +143,15 @@ def test_representation_count_rejects_zero():
         representation_count((0, 0), {(1, 0)})
 
 
+@pytest.mark.parametrize("p", [(2, 2, 5), (2,)])
+def test_representation_count_rejects_another_dimension(p):
+    s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((5, 5)))
+    assert representation_count((2, 2), s) == 2
+    for members in (s, s.points):
+        with pytest.raises(DimensionMismatch, match="dimension"):
+            representation_count(p, members)
+
+
 # ---------------------------------------------------------------------------
 # the engine and the reference oracle agree
 
@@ -381,9 +390,8 @@ def _random_bound(data, raw, dim):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3]), st.data())
 def test_dense_engine_exact_with_frequent_clamps(dim, data):
-    """Clamping the counts after every one to three admissions, in chunks of
-    one to seven cells, with either box update forced or the usual choice,
-    changes no point."""
+    """Clamping the counts after every one to three admissions, with either
+    box update forced or the usual choice, changes no point."""
     raw = data.draw(_points_strategy(dim, max_coord=3), label="initials")
     cfg = validate_config(raw, dim)
     bound = _random_bound(data, raw, dim)
@@ -391,7 +399,6 @@ def test_dense_engine_exact_with_frequent_clamps(dim, data):
     with pytest.MonkeyPatch.context() as mp:
         clamp = data.draw(st.integers(1, 3), label="clamp")
         mp.setattr(core, "_CLAMP_EVERY", clamp)
-        mp.setattr(core, "_CLAMP_CHUNK", data.draw(st.integers(1, 7), label="chunk"))
         mp.setattr(
             core, "_SLICE_PER_MEMBER",
             data.draw(st.sampled_from([0, core._SLICE_PER_MEMBER, 10**9]), label="c"),
@@ -436,7 +443,6 @@ def test_level_engine_exact_on_2d_boxes_with_frequent_clamps(data):
     with pytest.MonkeyPatch.context() as mp:
         clamp = data.draw(st.integers(1, 3), label="clamp")
         mp.setattr(core, "_CLAMP_EVERY", clamp)
-        mp.setattr(core, "_CLAMP_CHUNK", data.draw(st.integers(1, 7), label="chunk"))
         mp.setattr(
             core, "_SLICE_PER_MEMBER",
             data.draw(st.sampled_from([0, core._SLICE_PER_MEMBER, 10**9]), label="c"),
@@ -812,6 +818,19 @@ def test_grid_is_membership_over_any_box(dim, data):
     got = s.grid(lo, hi)
     assert got.dtype == bool and got.shape == tuple(map(len, ranges))
     assert got.ravel().tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("lo,hi", [
+    ((0, 0, 0), (5, 5, 5)),  # each member would be smeared along z
+    ((0, 0), (5,)),  # hi would be broadcast to (5, 5)
+    ((0,), (5,)),  # an IndexError from the fill
+    (0, (5, 5)),
+])
+def test_grid_refuses_corners_of_another_dimension(lo, hi):
+    s = generate(validate_config([(1, 0), (0, 1)], 2), Bound.box((5, 5)))
+    assert s.grid((0, 0), (5, 5)).sum() == len(s) == 15
+    with pytest.raises(DimensionMismatch, match="for dimension 2"):
+        s.grid(lo, hi)
 
 
 @pytest.mark.parametrize("bound,dim", [

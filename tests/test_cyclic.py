@@ -225,6 +225,18 @@ def test_generate_matches_the_brute_force_oracle_on_random_inputs(case):
     assert s.points == tuple(sorted(brute_force_cyclic(initials, n, x_bound)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_cyclic_inputs(), st.integers(1, 3))
+def test_generate_matches_the_brute_force_oracle_with_frequent_clamps(case, every):
+    """Clamping the counts before every one to three admissions, where the
+    random inputs above rarely reach the 253 that run a clamp at all."""
+    initials, n, x_bound = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_CLAMP_EVERY", every)
+        s = generate_cyclic(initials, n, x_bound)
+    assert s.points == tuple(sorted(brute_force_cyclic(initials, n, x_bound)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_cyclic_inputs(), st.integers(0, 10**6))
 def test_certificate_matches_the_pairwise_definition(case, drop):
