@@ -319,10 +319,10 @@ def _generate_output(args) -> tuple:
     builds the JSON document of the set, which only ``--format json`` calls."""
     if args.terms is not None:
         seq = ulam_sequence([p[0] for p in args.init], args.terms)
-        return np.array(seq.terms, dtype=np.int64)[:, None], None, lambda: {
+        return seq.array[:, None], None, lambda: {
             "initials": seq.initials,
-            "count": len(seq.terms),
-            "terms": seq.terms,
+            "count": len(seq),
+            "terms": seq.array.tolist(),
         }
     if args.cyclic is not None:
         cset = generate_cyclic(args.init, args.cyclic, args.x_bound)
@@ -422,11 +422,11 @@ def _cmd_signal(args) -> int:
         if not 0 <= args.row <= reach:
             raise ValueError(f"--row {args.row} is outside the bound's rows 0..{reach}")
         c = generate(validate_config(args.set_init, 2), bound).coords
-        xs = sorted(c[(c[:, 1] == args.row) & (c[:, 0] > 0), 0].tolist())
-        if len(xs) < 2:
+        xs = np.sort(c[(c[:, 1] == args.row) & (c[:, 0] > 0), 0])
+        if xs.size < 2:
             print("row has too few members to scan", file=sys.stderr)
             return 1
-        seq = Sequence1D(tuple(xs[:2]), tuple(xs))
+        seq = Sequence1D(xs[:2].tolist(), xs)
     else:
         seq = ulam_sequence([p[0] for p in args.init], args.terms)
 
@@ -434,8 +434,8 @@ def _cmd_signal(args) -> int:
         total = cosine_sum(seq, args.alpha)
         _emit(_json({
             "alpha": float(args.alpha),
-            "terms": len(seq.terms),
-            "normalized_sum": total / len(seq.terms),
+            "terms": len(seq),
+            "normalized_sum": total / len(seq),
             "sign_exceptions": sign_exception_set(seq, args.alpha),
         }), args.out)
         return 0
@@ -448,7 +448,7 @@ def _cmd_signal(args) -> int:
             rows.append(f"{scan.coarse_alpha(j):.9f},{scan.sums[j]:.9f}")
         _emit("\n".join(rows) + "\n", args.csv_out)
     _emit(_json({
-        "terms": len(seq.terms),
+        "terms": len(seq),
         "coarse_step": scan.alpha_step,
         "best_alpha": scan.best_alpha,
         "best_value": scan.best_value,

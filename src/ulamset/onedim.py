@@ -18,12 +18,13 @@ and r2 in J, r1 + r2 lies in (2M/3, 4M/3), so 3*((r1 + r2) mod M) lies in
 *outlier*.
 
 Counts.  The *tracked* members are the outliers and the ``_TRACKED_J``
-smallest members of J; the members are stored once, split between the
-arrays ``tracked`` and ``j_members`` (the untracked members of J).
-``counts[v]`` holds the number of member pairs {a, b}, a != b, a + b = v,
-with at least one tracked summand.  Admitting an untracked member of J
-adds its sums with the tracked members; admitting an outlier adds its
-sums with the members of both arrays.
+smallest members of J; the members are stored once, in one int64 array
+that holds the tracked members from its front and the untracked members
+of J from its back, and that becomes the terms at the end.  The count of
+v holds the number of member pairs {a, b}, a != b, a + b = v, with at
+least one tracked summand.  Admitting an untracked member of J adds its
+sums with the tracked members; admitting an outlier adds its sums with
+all members.
 
 Candidates.  Values are decided in increasing order, in windows [lo, end)
 of at most ``_WINDOW`` values.  A window reads its counts once, at its start;
@@ -32,7 +33,7 @@ most 1.  A value in J has no representation by two members of J, so its
 count is its number of representations, and it is a term iff that is 1.
 A value outside J is rejected when its count is at least 2; otherwise the
 pairs of untracked members of J that sum to it are counted from scratch,
-in one pass over ``j_members``.  Tracking the smallest members of J as
+in one pass over those members.  Tracking the smallest members of J as
 well as the outliers makes that count rare: the counts already hold most
 pairs that reject a value outside J.
 
@@ -60,9 +61,21 @@ reads a count below that value again.  When more than
 to pay for the pull counts; j goes back to 0 until the next estimate.
 Every step above is exact for any j, so the frequency affects the speed
 only, never the output.  For (1, 2) about 100 of the first 5e4 members are
-outliers, and 5e4 terms come at about 114 000 terms per second
+outliers, and 5e4 terms come at about 209 000 terms per second
 (``onedim.terms_per_s`` of the benchmark's seq1d workload, on a 2-vCPU
 Xeon).
+
+Memory.  The counts are held only for the live values: a uint32 window
+from ``base`` <= lo past twice the largest member, which slides up to lo
+when a new term needs room above it and then grows to ``_HEADROOM`` times
+the values it must cover if it has less.  ``in_j`` flags the untracked
+members of J up to the end of the block being decided, which bounds every
+value a pull count reads.  So a run holds 8 B per member slot, 4 B per
+live count and 1 B per value below the frontier; the first allocation and
+every growth state that total to ``core._check_bytes``, which raises
+:class:`GridTooLarge` over the budget.  Estimates allocate temporaries of
+their own, and each one that starts from j = 0 an FFT grid; those are not
+stated.
 
 Initials with a common factor g give g times the sequence of the initials
 divided by g, which is computed instead.
@@ -77,7 +90,8 @@ admitted term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,8 +99,6 @@ from .core import _check_bytes
 from .errors import InvalidInitials, TooShort
 from .signal import _COARSE_STEP, fourier_sums
 
-# value-array headroom when growing (factor on the largest needed index)
-_GROWTH = 2
 _M = 1 << 48  # modulus of the residues; a power of two, so it divides 2**64
 _MASK = np.uint64(_M - 1)
 _FIRST_ESTIMATE = 2000  # member count of the first frequency estimate
@@ -95,21 +107,56 @@ _BLOCK = 1 << 14  # values per block of classes
 _WINDOW = 128  # values per window of counts read at once
 _TRACKED_J = 64  # smallest members of J whose pairs are counted like outliers
 _MAX_OUTLIER_SHARE = 0.05  # above it, pull counts cost more than full counts
+_HEADROOM = 1.25  # a growing array's length over the values it must cover
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Sequence1D:
-    """A computed prefix of a one-dimensional Ulam sequence."""
+    """A computed prefix of a one-dimensional Ulam sequence.
+
+    A sequence stores its ``initials`` and ``array``, its terms as a
+    read-only 1-D int64 array.  Any sequence of integers becomes such an
+    array, copied unless it is a read-only int64 array already; anything
+    else (a float, a nested sequence, an integer beyond int64) raises
+    :class:`InvalidInitials`.  ``terms`` (a tuple) is derived on first
+    read.  Sequences are equal when initials and term bytes are.
+    """
 
     initials: tuple[int, ...]
-    terms: tuple[int, ...]
+    array: np.ndarray = field(init=False)
+
+    def __init__(self, initials, terms):
+        a = np.asarray(terms)
+        if a.ndim != 1 or a.size and not np.can_cast(a.dtype, np.int64):
+            raise InvalidInitials(
+                f"terms must be a 1-D sequence of integers, not {a.dtype} of shape {a.shape}")
+        a = a.astype(np.int64, copy=a.flags.writeable)  # the caller may still write to it
+        a.flags.writeable = False
+        object.__setattr__(self, "initials", tuple(initials))
+        object.__setattr__(self, "array", a)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence1D):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def __repr__(self) -> str:
-        head = ", ".join(map(str, self.terms[:8]))
-        return f"Sequence1D(initials={self.initials}, n={len(self.terms)}, [{head}, ...])"
+        head = ", ".join(map(str, self.array[:8].tolist()))
+        return f"Sequence1D(initials={self.initials}, n={len(self)}, [{head}, ...])"
+
+    @property
+    def _key(self) -> tuple:
+        return (self.initials, self.array.tobytes())
+
+    @cached_property
+    def terms(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
 
 def _residues(values: np.ndarray, j: int) -> np.ndarray:
@@ -166,21 +213,27 @@ def _window_partners(values: np.ndarray, width: int) -> int:
     return sum(1 << (width * a) for a in values[values < _WINDOW].tolist())
 
 
-def _candidates(counts: np.ndarray, lo: int, end: int, cls: np.ndarray) -> zip:
-    """(value, count, in J) for the values of [lo, end) with count <= 1, as
-    Python objects: counts only rise, so no other value of the window can
-    be a term.  ``cls`` holds the classes of [lo, end).  No view of
-    ``counts`` outlives the call, so a rebuild can free it."""
-    window = counts[lo:end]
+def _candidates(window: np.ndarray, lo: int, cls: np.ndarray) -> zip:
+    """(value, count, in J) for the values of [lo, lo + window.size) with
+    count <= 1, as Python objects: counts only rise, so no other value of
+    the window can be a term.  ``window`` holds their counts and ``cls``
+    their classes.  Nothing returned is a view of ``window``, so the count
+    window can be moved or resized while the result is read."""
     at = np.flatnonzero(window <= 1)
     return zip((at + lo).tolist(), window[at].tolist(), cls[at].tolist())
 
 
-def _scatter(counts: np.ndarray, batch: list[int], tracked: np.ndarray) -> None:
+def _scatter(counts: np.ndarray, batch: list[int], tracked: np.ndarray, base: int) -> None:
     """Count the pairs of each member of J in ``batch`` with the tracked
-    members; sums of different members may coincide, hence ``np.add.at``."""
-    sums = (np.array(batch, dtype=np.int64)[:, None] + tracked).ravel()
+    members, in the count window from ``base``; sums of different members
+    may coincide, hence ``np.add.at``."""
+    sums = ((np.array(batch, dtype=np.int64) - base)[:, None] + tracked).ravel()
     np.add.at(counts, sums, np.uint32(1))  # with a Python 1 it takes about 30x as long
+
+
+def _covering(values: int) -> int:
+    """Length of an array that must cover ``values`` values, with room to grow."""
+    return int(_HEADROOM * values)
 
 
 def ulam_sequence(initials, n_terms: int) -> Sequence1D:
@@ -200,91 +253,121 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
     g = math.gcd(*inits)
     if g > 1:
         # sums of multiples of g are multiples of g: the sequence scales
-        seq = ulam_sequence([a // g for a in inits], n_terms)
-        return Sequence1D(tuple(sorted(inits)), tuple(g * t for t in seq.terms))
+        terms = ulam_sequence([a // g for a in inits], n_terms).array
+        if g * int(terms[-1]) > np.iinfo(np.int64).max:
+            raise InvalidInitials(f"the terms of the initials {inits} exceed the int64 range")
+        terms = g * terms
+        terms.flags.writeable = False
+        return Sequence1D(tuple(sorted(inits)), terms)
 
     inits = tuple(sorted(inits))
     k = len(inits)
+    request = f"{n_terms} terms from the initials {inits}"
     slots = max(1024, n_terms + k)
-    size = _GROWTH * (2 * inits[-1] + 1)
-    # up front only: a uint32 count and a bool per value, two int64 member
-    # arrays; the arrays grow later unchecked
-    _check_bytes(5 * size + 16 * slots, f"{n_terms} terms from the initials {inits}")
 
-    # j = 0 until the first estimate: every member is an outlier
+    def check(n_counts: int, n_in_j: int) -> None:
+        """State the arrays held with a count window of ``n_counts`` values
+        and an ``in_j`` of ``n_in_j``: 8 B per member slot, 4 B per count,
+        1 B per flag."""
+        _check_bytes(8 * slots + 4 * n_counts + n_in_j, request)
+
+    # counts[v - base] for the values v of [base, base + counts.size); base
+    # <= lo and base + counts.size > 2 * (largest member) hold throughout,
+    # so the window holds every count still to be read or added to
+    base = 1
+    n_counts = _covering(2 * inits[-1])
+    check(n_counts, base + n_counts)
+
+    # The members, each once: the tracked ones (outliers and a few members
+    # of J) from the front, the other members of J from the back.  j = 0
+    # until the first estimate: every member is an outlier.
     j = 0
-    tracked = np.empty(slots, dtype=np.int64)  # outliers and a few members of J
-    tracked[:k] = inits
+    members = np.empty(slots, dtype=np.int64)
+    members[:k] = inits
     nt = k
-    j_members = np.empty_like(tracked)  # the other members of J
     nj = 0
     next_estimate = _FIRST_ESTIMATE
 
-    counts = np.zeros(size, dtype=np.uint32)
-    in_j = np.zeros(size, dtype=bool)  # value is in j_members
+    counts = np.zeros(n_counts, dtype=np.uint32)
+    # in_j[v]: v is an untracked member of J; it covers every value that a
+    # pull count can read, below the block's end, and the initials
+    in_j = np.zeros(base + n_counts, dtype=bool)
     for i in range(k):
         for i2 in range(i + 1, k):
-            counts[inits[i] + inits[i2]] += 1
+            counts[inits[i] + inits[i2] - base] += 1
 
-    out: list[int] = []
-    pi = 0  # initials merged into the output so far
+    decided = 0  # terms so far
+    pi = 0  # initials merged into the terms so far
     lo = 1  # next undecided value
     # bits per value of a window tally: fewer than 2**width admissions add
     # to one field, so no field carries into the next
     width = _WINDOW.bit_length()
-    field = (1 << width) - 1
+    field_mask = (1 << width) - 1
     # members below _WINDOW, all of them and the tracked ones
-    small = small_tracked = _window_partners(tracked[:nt], width)
+    small = small_tracked = _window_partners(members[:nt], width)
 
-    while len(out) < n_terms:
+    while decided < n_terms:
         if pi < k and inits[pi] == lo:
             # the initial comes first; it is already a member
-            out.append(lo)
+            decided += 1
             pi += 1
             lo += 1
             continue
         # One block [start, hi) of values with their classes.  The next term
-        # is at most the sum of the two largest members, which is below the
-        # array size.
+        # is at most the sum of the two largest members, which is inside the
+        # count window.
         start = lo
-        hi = min(lo + _BLOCK, size, inits[pi] if pi < k else size)
+        hi = min(lo + _BLOCK, base + counts.size, inits[pi] if pi < k else lo + _BLOCK)
+        if hi > in_j.size:
+            n_in_j = _covering(hi)
+            check(counts.size, n_in_j)
+            in_j.resize(n_in_j, refcheck=False)  # zero-filled; no view of in_j is held
         cls = _in_class(_residues(np.arange(lo, hi, dtype=np.int64), j))
 
-        while lo < hi and nt + nj < next_estimate and len(out) < n_terms:
+        while lo < hi and nt + nj < next_estimate and decided < n_terms:
             end = min(lo + _WINDOW, hi)  # one window [lo, end)
             added = 0  # pairs of this window's admissions, a field per value
             batch = []  # members of J admitted in it, not yet in counts
-            for x, c, in_cls in _candidates(counts, lo, end, cls[lo - start:end - start]):
-                c += added >> (width * (x - lo)) & field
+            found = _candidates(counts[lo - base:end - base], lo, cls[lo - start:end - start])
+            for x, c, in_cls in found:
+                c += added >> (width * (x - lo)) & field_mask
                 if in_cls or nj == 0:
                     if c != 1:
                         continue
-                elif c > 1 or c + _pull_count(x, in_j, j_members[:nj]) != 1:
+                elif c > 1 or c + _pull_count(x, in_j, members[slots - nj:]) != 1:
                     continue
 
-                out.append(x)
-                # x is the largest member unless it is below an initial, and
-                # size > 2 * (largest member) holds throughout
-                if 2 * x >= size:
-                    grow = _GROWTH * (2 * x + 1) - size
-                    counts = np.concatenate((counts, np.zeros(grow, dtype=np.uint32)))
-                    in_j = np.concatenate((in_j, np.zeros(grow, dtype=bool)))
-                    size = counts.size
+                decided += 1
+                # x is the largest member unless it is below an initial
+                if 2 * x >= base + counts.size:
+                    # Slide the window to start at lo: no count below lo is
+                    # read again, and every sum still to come is above x.
+                    # Grow it when less than the headroom would be left.
+                    live = base + counts.size - lo
+                    counts[:live] = counts[lo - base:]
+                    counts[live:] = 0
+                    base = lo
+                    n_counts = _covering(2 * x + 1 - lo)
+                    if n_counts > counts.size:
+                        check(n_counts, in_j.size)
+                        # zero-filled, in place where realloc can; no view
+                        # of counts is held
+                        counts.resize(n_counts, refcheck=False)
                 if in_cls:
                     batch.append(x)
                     in_j[x] = True
-                    j_members[nj] = x
                     nj += 1
+                    members[slots - nj] = x
                     partners = small_tracked
                 else:
-                    if batch:  # with tracked[:nt] before x joins it
-                        _scatter(counts, batch, tracked[:nt])
+                    if batch:  # with members[:nt] before x joins them
+                        _scatter(counts, batch, members[:nt], base)
                         batch = []
                     # sums are distinct for a fixed new term
-                    counts[tracked[:nt] + x] += 1
+                    counts[members[:nt] + (x - base)] += 1
                     if nj:
-                        counts[j_members[:nj] + x] += 1
-                    tracked[nt] = x
+                        counts[members[slots - nj:] + (x - base)] += 1
+                    members[nt] = x
                     nt += 1
                     partners = small
                 added += partners << (width * (x - lo))
@@ -292,16 +375,16 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
                     small |= 1 << (width * x)
                     if not in_cls:
                         small_tracked |= 1 << (width * x)
-                if nt + nj >= next_estimate or len(out) == n_terms:
+                if nt + nj >= next_estimate or decided == n_terms:
                     end = x + 1
                     break
             if batch:
-                _scatter(counts, batch, tracked[:nt])
+                _scatter(counts, batch, members[:nt], base)
             lo = end
 
-        if nt + nj >= next_estimate and len(out) < n_terms:
+        if nt + nj >= next_estimate and decided < n_terms:
             # member order reaches _estimate only through float rounding
-            mem = np.concatenate((tracked[:nt], j_members[:nj]))
+            mem = np.concatenate((members[:nt], members[slots - nj:]))
             next_estimate = 2 * mem.size
             estimate = _estimate(mem, j)
             cls_m = _in_class(_residues(mem, estimate))
@@ -311,34 +394,42 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
             if estimate == j == 0:
                 continue  # the counts are complete already
             j = estimate
-            del counts  # freed before its replacement is allocated
             in_class = np.sort(mem[cls_m])
             now_tracked = np.sort(np.concatenate((mem[~cls_m], in_class[:_TRACKED_J])))
             nt = now_tracked.size
-            tracked[:nt] = now_tracked
+            members[:nt] = now_tracked
             small_tracked = _window_partners(now_tracked, width)
             untracked = in_class[_TRACKED_J:]
             nj = untracked.size
-            j_members[:nj] = untracked
+            members[slots - nj:] = untracked
             in_j[:] = False
-            in_j[j_members[:nj]] = True
-            # sums >= lo only (see "Frequency" above); both partner arrays
-            # are sorted, so a tracked member's live partners are one slice
-            counts = np.zeros(size, dtype=np.uint32)
+            in_j[untracked] = True
+            # sums >= lo only (see "Frequency" above), so the window can
+            # start at lo; both partner arrays are sorted, so a tracked
+            # member's live partners are one slice
+            counts[:] = 0
+            base = lo
             j_first = np.searchsorted(untracked, lo - now_tracked).tolist()
             t_first = np.searchsorted(now_tracked, lo - now_tracked).tolist()
             for i, t in enumerate(now_tracked.tolist()):
-                counts[untracked[j_first[i]:] + t] += 1
-                counts[now_tracked[max(i + 1, t_first[i]):] + t] += 1
+                counts[untracked[j_first[i]:] + (t - base)] += 1
+                counts[now_tracked[max(i + 1, t_first[i]):] + (t - base)] += 1
 
-    return Sequence1D(inits, tuple(out))
+    # The terms are the members below every pending initial; gather the
+    # members at the front and sort them in place
+    members[nt:nt + nj] = members[slots - nj:]
+    terms = members[:nt + nj]
+    terms.sort()
+    terms = terms[:n_terms]
+    terms.flags.writeable = False
+    return Sequence1D(inits, terms)
 
 
 def consecutive_gaps(seq: Sequence1D) -> list[int]:
     """Differences between successive terms, gaps[i] = terms[i+1] - terms[i]."""
-    if len(seq.terms) < 2:
+    if len(seq) < 2:
         raise TooShort("need at least two terms to form gaps")
-    return np.diff(np.asarray(seq.terms, dtype=np.int64)).tolist()
+    return np.diff(seq.array).tolist()
 
 
 def fibonacci_bound_check(seq: Sequence1D) -> bool:
@@ -347,9 +438,9 @@ def fibonacci_bound_check(seq: Sequence1D) -> bool:
     Indexing is 1-based with F_1 = F_2 = 1; the bound holds for the
     sequence seeded by (1, 2).
     """
-    largest = max(seq.terms, default=0)
+    largest = int(seq.array.max(initial=0))
     a, b = 1, 1  # F_1, F_2; for the n-th term, b holds F_{n+1}
-    for t in seq.terms:
+    for t in map(int, seq.array):
         if t > b:
             return False
         if b > largest:

@@ -44,25 +44,28 @@ _REFINE_POINTS = 41  # grid points per refinement round
 
 
 def _reduced_args(terms, alpha: Fraction) -> np.ndarray:
-    """alpha * a_n reduced into [0, 2*pi), exactly, then rounded to float."""
+    """alpha * a_n reduced into [0, 2*pi), exactly, then rounded to float.
+
+    The terms become Python ints one at a time, so an int64 array is never
+    held as a list of them."""
     num, den = alpha.numerator, alpha.denominator
     pn, pd = _TWO_PI.numerator, _TWO_PI.denominator
     qn = den * pn
     scale = den * pd
     c = num * pd
     # int/int division rounds correctly
-    return np.fromiter(((c * a) % qn / scale for a in terms), np.float64, len(terms))
+    return np.fromiter(((c * a) % qn / scale for a in map(int, terms)), np.float64, len(terms))
 
 
 def cosine_sum(seq: Sequence1D, alpha) -> float:
     """Sum of cos(alpha * a_n) over the sequence, exact argument reduction."""
-    return float(np.cos(_reduced_args(seq.terms, Fraction(alpha))).sum())
+    return float(np.cos(_reduced_args(seq.array, Fraction(alpha))).sum())
 
 
 def sign_exception_set(seq: Sequence1D, alpha) -> list[int]:
     """All terms a_n with cos(alpha * a_n) >= 0."""
-    keep = np.flatnonzero(np.cos(_reduced_args(seq.terms, Fraction(alpha))) >= 0.0)
-    return [int(seq.terms[i]) for i in keep.tolist()]
+    keep = np.cos(_reduced_args(seq.array, Fraction(alpha))) >= 0.0
+    return seq.array[keep].tolist()
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
     coarse minimum.
     """
     check_grid_step(grid_step)
-    terms = np.asarray(seq.terms, dtype=np.int64)
+    terms = seq.array
     n = terms.size
     m, spectrum = fourier_sums(terms, grid_step)
     step = 2 * math.pi / m

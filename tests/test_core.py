@@ -1001,7 +1001,7 @@ def test_signal_row_mode_reads_only_the_coordinate_array(monkeypatch):
     scanned = []
 
     def record(initials, terms):
-        scanned.append(terms)
+        scanned.append(tuple(terms.tolist()))
         return Sequence1D(initials, terms)
 
     monkeypatch.setattr(cli, "Sequence1D", record)

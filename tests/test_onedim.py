@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ulamset import (
     Bound,
+    Sequence1D,
     consecutive_gaps,
     core,
     fibonacci_bound_check,
@@ -72,22 +74,51 @@ def test_invalid_initials():
         ulam_sequence((1, 2), 1)
 
 
+@pytest.mark.parametrize("terms", [
+    (1.5, 2),  # a fraction
+    (1.0, 2.0),  # floats, even integral ones
+    ((1, 2), (3, 4)),  # not 1-D
+    7,  # not a sequence
+    (1, 2**70),  # beyond int64
+])
+def test_sequence_refuses_terms_that_are_not_integers_in_one_dimension(terms):
+    with pytest.raises(InvalidInitials):
+        Sequence1D((1, 2), terms)
+
+
+def test_sequence_holds_one_read_only_array():
+    listed = Sequence1D((1, 2), [1, 2, 3])
+    source = np.array([1, 2, 3])
+    held = Sequence1D((1, 2), source)
+    source[0] = 5  # the constructor copied it
+    assert listed == held and hash(listed) == hash(held)
+    assert held.array.dtype == np.int64 and not held.array.flags.writeable
+    assert held.terms == (1, 2, 3)
+    assert held != Sequence1D((1, 3), [1, 2, 3])
+
+
+def test_terms_beyond_int64_are_refused():
+    """(2**61, 2**62) is 2**61 times (1, 2): its 4th term is 2**63."""
+    assert ulam_sequence((2**61, 2**62), 3).terms == (2**61, 2**62, 3 * 2**61)
+    with pytest.raises(InvalidInitials, match="int64"):
+        ulam_sequence((2**61, 2**62), 4)
+
+
 def test_sequence_repr_shows_initials_length_and_head():
     assert repr(ulam_sequence((1, 2), 10)) == (
         "Sequence1D(initials=(1, 2), n=10, [1, 2, 3, 4, 6, 8, 11, 13, ...])")
 
 
 def test_the_up_front_bytes_are_held_to_the_budget(monkeypatch):
-    """(1, 2) at 10 terms states 2 (2*2 + 1) count values at 5 B and two
-    member arrays of 1024 slots at 8 B; (2, 4) states the same after the
-    common factor is taken out."""
-    need = 5 * 10 + 16 * 1024
-    monkeypatch.setattr(core, "_MAX_BYTES", need)
-    assert ulam_sequence((1, 2), 10).terms == CLASSIC_25[:10]
-    assert ulam_sequence((2, 4), 10).terms == tuple(2 * t for t in CLASSIC_25[:10])
+    """(1, 2) at 10 terms states 1024 member slots at 8 B, a count window
+    of 5 values (1.25 times 2*2) at 4 B and the 6 flags of ``in_j`` (values
+    0..5) at 1 B; (2, 4) states the same after the common factor is taken
+    out."""
+    need = 8 * 1024 + 4 * 5 + 6
     monkeypatch.setattr(core, "_MAX_BYTES", need - 1)
-    with pytest.raises(GridTooLarge, match=f"10 terms from the initials \\(1, 2\\): {need} bytes"):
-        ulam_sequence((1, 2), 10)
+    for initials in ((1, 2), (2, 4)):
+        with pytest.raises(GridTooLarge, match=f"10 terms from the initials \\(1, 2\\): {need} bytes"):
+            ulam_sequence(initials, 10)
 
 
 def _no_allocation(*args, **kwargs):
@@ -116,6 +147,55 @@ def test_long_runs_of_one_two_pass_the_byte_check(monkeypatch, n_terms):
     monkeypatch.setattr(np, "empty", _started)
     with pytest.raises(_Started):
         ulam_sequence((1, 2), n_terms)
+
+
+def _record_statements(monkeypatch) -> list[int]:
+    """The bytes of every statement the engine makes, in order; the budget
+    still applies to each."""
+    stated = []
+
+    def record(nbytes, request):
+        stated.append(nbytes)
+        core._check_bytes(nbytes, request)
+
+    monkeypatch.setattr(onedim, "_check_bytes", record)
+    return stated
+
+
+def test_a_window_that_outgrows_the_budget_is_refused(monkeypatch):
+    """With the limit 1 KB above the up-front statement, (1, 2) at 3000
+    terms passes it and is refused when its count window grows past it."""
+    stated = _record_statements(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(np, "empty", _started)
+        with pytest.raises(_Started):
+            ulam_sequence((1, 2), 3000)
+    assert len(stated) == 1
+    monkeypatch.setattr(core, "_MAX_BYTES", stated[0] + 1024)
+    with pytest.raises(GridTooLarge, match=r"3000 terms from the initials \(1, 2\)"):
+        ulam_sequence((1, 2), 3000)
+    assert len(stated) > 2 and stated[-1] > stated[0] + 1024
+
+
+def test_the_traced_peak_stays_within_the_stated_bytes(monkeypatch):
+    """The arrays the engine states are all it holds that grow with the
+    values covered.  Besides them it allocates the classes of one block
+    (under 64 B per value) and, for each new term, the indices and counts
+    of its sums with the tracked members (16 B per member).  A block of
+    256 values keeps the first to a few KB; with no frequency estimate
+    every member is tracked and no FFT grid is allocated.  So the peak is
+    at most the largest statement plus those two."""
+    stated = _record_statements(monkeypatch)
+    monkeypatch.setattr(onedim, "_BLOCK", 256)
+    monkeypatch.setattr(onedim, "_FIRST_ESTIMATE", 10**9)
+    n_terms = 3000
+    tracemalloc.start()
+    try:
+        ulam_sequence((1, 2), n_terms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(stated) + 64 * onedim._BLOCK + 16 * n_terms
 
 
 def test_gaps_basic():
@@ -231,11 +311,22 @@ def test_matches_the_value_by_value_scan_on_the_seq1d_inputs(initials, n_terms):
 # only two members of J, so that pull counts run as well.
 _SMALL_PHASES = dict(_FIRST_ESTIMATE=16, _TRACKED_J=2, _MAX_OUTLIER_SHARE=1.0)
 _INITIALS = st.lists(st.integers(1, 30), min_size=2, max_size=3, unique=True)
+# one initial up to 500: its sums start the count window far above the first
+# terms, and it may wait while dozens of terms come before it
+_ONE_WIDE_INITIAL = st.builds(
+    lambda small, wide: [*small, wide],
+    st.lists(st.integers(1, 30), min_size=1, max_size=2, unique=True),
+    st.integers(1, 500),
+).filter(lambda initials: len(set(initials)) == len(initials))
 
 
 @settings(max_examples=60, deadline=None)
-@given(_INITIALS, st.integers(3, 80))
+@given(_ONE_WIDE_INITIAL, st.integers(3, 80))
 @example([1, 2, 4], 3)  # 3 = 1 + 2 precedes the initial 4
+@example([1, 2], 80)  # the count window slides 22 times and grows 20 times
+# 21 terms precede the pending initial 90; then the window slides 7 times
+# and grows 6 times
+@example([7, 11, 90], 80)
 def test_outlier_phase_matches_brute_force(initials, n_terms):
     with mock.patch.multiple(onedim, **_SMALL_PHASES):
         fast = ulam_sequence(initials, n_terms).terms
@@ -300,8 +391,13 @@ def test_first_untracked_member_of_the_class_inside_a_block(initials, j, first):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_INITIALS, _SPREAD_FREQUENCIES, st.integers(2, 8), st.sampled_from([0, 2]))
+@given(_ONE_WIDE_INITIAL, _SPREAD_FREQUENCIES, st.integers(2, 8), st.sampled_from([0, 2]))
 @example([1, 2, 5], [0, 0, 0], 4, 2)  # the pending initial 5 ends the window [3, 5)
+# the count window slides 25 times and grows 24 times
+@example([1, 2], [109722824127411] * 3, 8, 2)
+# 21 terms precede the pending initial 90; then the window slides 9 times
+# and grows 8 times, across estimates that move it to the next value
+@example([7, 11, 90], [0, 193081596755779, 0], 7, 0)
 # at this frequency one window admits 135 and 137, in J, and then the
 # outlier 139: the two wait in the batch until 139 is admitted
 @example([2, 5], [109722824127411] * 3, 8, 2)

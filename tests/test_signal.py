@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulamset import ulam_sequence
+from ulamset import cli, consecutive_gaps, fibonacci_bound_check, ulam_sequence
 from ulamset.onedim import Sequence1D
 from ulamset.signal import (
     _TWO_PI,
@@ -40,6 +40,31 @@ def test_sign_exceptions_trivial():
     assert sign_exception_set(seq, 0) == [1, 2, 3]
     odd = Sequence1D((1, 3), (1, 3, 5, 7, 9))
     assert sign_exception_set(odd, math.pi) == []
+
+
+def _no_derivation(seq):
+    raise AssertionError("the terms tuple of a sequence was derived")
+
+
+def test_no_library_path_derives_the_terms_tuple(monkeypatch, capsys):
+    """Every reader of a sequence takes its int64 array: the tuple of
+    Python ints is built only for a caller that asks for ``terms``."""
+    monkeypatch.setattr(vars(Sequence1D)["terms"], "func", _no_derivation)
+    seq = ulam_sequence((1, 2), 300)
+    alpha_scan(seq)
+    cosine_sum(seq, 2.5)
+    sign_exception_set(seq, 2.5)
+    consecutive_gaps(seq)
+    fibonacci_bound_check(seq)
+    for fmt in ("csv", "json"):
+        assert cli.run(["generate", "--init", "1,2", "--terms", "30", "--format", fmt]) == 0
+    for source in (["--init", "1,2", "--terms", "300"],
+                   ["--set-init", "(2,0),(3,0),(0,1)", "--box", "30,400", "--row", "1"]):
+        assert cli.run(["signal", *source]) == 0
+        assert cli.run(["signal", *source, "--alpha", "2.5"]) == 0
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="derived"):
+        seq.terms
 
 
 def test_periodicity_and_reflection_symmetry():
