@@ -53,7 +53,8 @@ window reads it.
 Frequency.  Until the member count reaches ``_FIRST_ESTIMATE``, j = 0:
 no value is in J, every member is an outlier, and the counts are the full
 representation counts.  At that member count, and again each time it
-doubles, j is estimated from the members, and the counts are rebuilt from
+doubles, j is estimated from the members (from j = 0, starting at the
+minimiser of ``signal.alpha_scan``), and the counts are rebuilt from
 the tracked members alone, for the sums at or above the next undecided
 value only: values are decided in increasing order, so the scan never
 reads a count below that value again.  When more than
@@ -73,9 +74,9 @@ members of J up to the end of the block being decided, which bounds every
 value a pull count reads.  So a run holds 8 B per member slot, 4 B per
 live count and 1 B per value below the frontier; the first allocation and
 every growth state that total to ``core._check_bytes``, which raises
-:class:`GridTooLarge` over the budget.  Estimates allocate temporaries of
-their own, and each one that starts from j = 0 an FFT grid; those are not
-stated.
+:class:`GridTooLarge` over the budget.  Estimates allocate temporaries
+of their own, and each one from j = 0 the FFT grid of ``alpha_scan``, of
+2**16 values or fewer than twice the largest member; those are not stated.
 
 Initials with a common factor g give g times the sequence of the initials
 divided by g, which is computed instead.
@@ -97,7 +98,7 @@ import numpy as np
 
 from .core import _check_bytes
 from .errors import InvalidInitials, TooShort
-from .signal import _COARSE_STEP, fourier_sums
+from .signal import _MAX_GRID_STEP, alpha_scan
 
 _M = 1 << 48  # modulus of the residues; a power of two, so it divides 2**64
 _MASK = np.uint64(_M - 1)
@@ -115,11 +116,12 @@ class Sequence1D:
     """A computed prefix of a one-dimensional Ulam sequence.
 
     A sequence stores its ``initials`` and ``array``, its terms as a
-    read-only 1-D int64 array.  Any sequence of integers becomes such an
-    array, copied unless it is a read-only int64 array already; anything
-    else (a float, a nested sequence, an integer beyond int64) raises
-    :class:`InvalidInitials`.  ``terms`` (a tuple) is derived on first
-    read.  Sequences are equal when initials and term bytes are.
+    read-only 1-D int64 array.  Any sequence of positive integers becomes
+    such an array, copied unless it is a read-only int64 array already;
+    anything else (a float, a nested sequence, an integer beyond int64, a
+    term below 1) raises :class:`InvalidInitials`.  ``terms`` (a tuple) is
+    derived on first read.  Sequences are equal when initials and term
+    bytes are.
     """
 
     initials: tuple[int, ...]
@@ -127,9 +129,9 @@ class Sequence1D:
 
     def __init__(self, initials, terms):
         a = np.asarray(terms)
-        if a.ndim != 1 or a.size and not np.can_cast(a.dtype, np.int64):
-            raise InvalidInitials(
-                f"terms must be a 1-D sequence of integers, not {a.dtype} of shape {a.shape}")
+        if a.ndim != 1 or a.size and not (np.can_cast(a.dtype, np.int64) and a.min() > 0):
+            raise InvalidInitials(f"terms must be a 1-D sequence of positive integers, "
+                                  f"not {a.dtype} of shape {a.shape}")
         a = a.astype(np.int64, copy=a.flags.writeable)  # the caller may still write to it
         a.flags.writeable = False
         object.__setattr__(self, "initials", tuple(initials))
@@ -172,18 +174,17 @@ def _in_class(r: np.ndarray) -> np.ndarray:
 def _estimate(members: np.ndarray, j: int) -> int:
     """Numerator of the frequency alpha = 2*pi*j/M of the members.
 
-    The first estimate (j = 0) starts from the minimiser of
-    sum(cos(alpha*a)) on the FFT grid of ``signal.fourier_sums``; later ones
-    start from the previous estimate, which is far closer than a grid
-    point.  Either start is refined by least-squares fits of the drift of
-    the residues in J: with alpha off by e, alpha*a drifts by e*a.
+    An estimate from j = 0 starts from the minimiser of sum(cos(alpha*a))
+    that ``signal.alpha_scan`` finds on its coarsest grid and refines to a
+    step of at most 1e-9; later ones start from the previous estimate.
+    Either start is refined by least-squares fits of the drift of the
+    residues in J: with alpha off by e, alpha*a drifts by e*a.  ``members``
+    are scanned in place if they are a read-only int64 array, and copied
+    otherwise.
     """
     if j == 0:
-        # fine enough that alpha*a drifts by at most 1/16 turn over the
-        # members, but never finer than alpha_scan's default grid
-        step = max(_COARSE_STEP, math.pi / (4 * int(members.max())))
-        m, sums = fourier_sums(members, step)
-        j = (1 + int(np.argmin(sums[1:]))) * (_M // m)  # grid point in (0, pi]
+        alpha = alpha_scan(Sequence1D((), members), _MAX_GRID_STEP).best_alpha
+        j = round(alpha * _M / (2 * math.pi))
     x = members.astype(np.float64)
     for _ in range(_FIT_ROUNDS):
         # position of alpha*a on the circle, in turns from pi
@@ -223,11 +224,11 @@ def _candidates(window: np.ndarray, lo: int, cls: np.ndarray) -> zip:
     return zip((at + lo).tolist(), window[at].tolist(), cls[at].tolist())
 
 
-def _scatter(counts: np.ndarray, batch: list[int], tracked: np.ndarray, base: int) -> None:
+def _scatter(counts: np.ndarray, batch: np.ndarray, tracked: np.ndarray, base: int) -> None:
     """Count the pairs of each member of J in ``batch`` with the tracked
     members, in the count window from ``base``; sums of different members
     may coincide, hence ``np.add.at``."""
-    sums = ((np.array(batch, dtype=np.int64) - base)[:, None] + tracked).ravel()
+    sums = ((batch - base)[:, None] + tracked).ravel()
     np.add.at(counts, sums, np.uint32(1))  # with a Python 1 it takes about 30x as long
 
 
@@ -327,7 +328,9 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
         while lo < hi and nt + nj < next_estimate and decided < n_terms:
             end = min(lo + _WINDOW, hi)  # one window [lo, end)
             added = 0  # pairs of this window's admissions, a field per value
-            batch = []  # members of J admitted in it, not yet in counts
+            # members[slots - nj:slots - nj0] are the members of J admitted
+            # in it, not yet in counts
+            nj0 = nj
             found = _candidates(counts[lo - base:end - base], lo, cls[lo - start:end - start])
             for x, c, in_cls in found:
                 c += added >> (width * (x - lo)) & field_mask
@@ -354,15 +357,14 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
                         # of counts is held
                         counts.resize(n_counts, refcheck=False)
                 if in_cls:
-                    batch.append(x)
                     in_j[x] = True
                     nj += 1
                     members[slots - nj] = x
                     partners = small_tracked
                 else:
-                    if batch:  # with members[:nt] before x joins them
-                        _scatter(counts, batch, members[:nt], base)
-                        batch = []
+                    if nj > nj0:  # with members[:nt] before x joins them
+                        _scatter(counts, members[slots - nj:slots - nj0], members[:nt], base)
+                        nj0 = nj
                     # sums are distinct for a fixed new term
                     counts[members[:nt] + (x - base)] += 1
                     if nj:
@@ -378,13 +380,14 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
                 if nt + nj >= next_estimate or decided == n_terms:
                     end = x + 1
                     break
-            if batch:
-                _scatter(counts, batch, members[:nt], base)
+            if nj > nj0:
+                _scatter(counts, members[slots - nj:slots - nj0], members[:nt], base)
             lo = end
 
         if nt + nj >= next_estimate and decided < n_terms:
             # member order reaches _estimate only through float rounding
             mem = np.concatenate((members[:nt], members[slots - nj:]))
+            mem.flags.writeable = False  # so the scan does not copy it
             next_estimate = 2 * mem.size
             estimate = _estimate(mem, j)
             cls_m = _in_class(_residues(mem, estimate))

@@ -30,6 +30,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import TooShort
+
 if TYPE_CHECKING:  # onedim imports this module for its frequency estimate
     from .onedim import Sequence1D
 
@@ -39,6 +41,7 @@ _TWO_PI = Fraction(
 )
 
 _COARSE_STEP = 1e-5  # default coarse grid resolution over (0, pi]
+_MAX_GRID_STEP = 1e-4  # the coarsest grid a scan accepts
 _REFINE_ROUNDS = 5   # each round shrinks the local grid step 10x
 _REFINE_POINTS = 41  # grid points per refinement round
 
@@ -85,22 +88,6 @@ class SignalScan:
             f"SignalScan(best_alpha={self.best_alpha:.9f}, "
             f"best_value={self.best_value:.4f}, grid={len(self.sums)})"
         )
-
-
-def fourier_sums(terms: np.ndarray, grid_step: float) -> tuple[int, np.ndarray]:
-    """S(2*pi*k/m) for k = 0..m/2, exactly, by one FFT of the indicator vector.
-
-    ``m`` is the smallest power of two whose step 2*pi/m is at most
-    ``grid_step`` and which exceeds every term (so no two terms alias).
-    Returns ``(m, sums)``.
-    """
-    m = 1
-    top = int(terms.max())
-    while 2 * math.pi / m > grid_step or m <= top:
-        m *= 2
-    indicator = np.zeros(m, dtype=np.float64)
-    indicator[terms] = 1.0
-    return m, np.fft.rfft(indicator).real
 
 
 def _grid_sums(
@@ -150,9 +137,10 @@ def _grid_sums(
 
 
 def check_grid_step(grid_step: float) -> None:
-    """Refuse a coarse grid step outside (0, 1e-4]; a scan checks it first."""
-    if not 0 < grid_step <= 1e-4:
-        raise ValueError(f"grid step must be in (0, 1e-4], got {grid_step}")
+    """Refuse a coarse grid step outside (0, ``_MAX_GRID_STEP``]; a scan
+    checks it first."""
+    if not 0 < grid_step <= _MAX_GRID_STEP:
+        raise ValueError(f"grid step must be in (0, {_MAX_GRID_STEP:g}], got {grid_step}")
 
 
 def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
@@ -163,31 +151,41 @@ def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
     ``grid_step``.  Refinement: five rounds of 10x local grid shrinking
     around the running minimizer, so the final step is below 1e-9, each
     round evaluated by ``_grid_sums``.  The refined value never exceeds the
-    coarse minimum.
+    coarse minimum.  An empty sequence raises :class:`TooShort`.
     """
     check_grid_step(grid_step)
     terms = seq.array
     n = terms.size
-    m, spectrum = fourier_sums(terms, grid_step)
+    if n == 0:
+        raise TooShort("need at least one term to scan")
+    # M is the smallest power of two that exceeds every term, so no two
+    # terms alias, and whose step is at most grid_step
+    m = 1 << int(terms.max()).bit_length()
+    while 2 * math.pi / m > grid_step:
+        m *= 2
     step = 2 * math.pi / m
+    spectrum = np.zeros(m, dtype=np.float64)
+    spectrum[terms] = 1.0  # the indicator vector
+    # S(2*pi*k/M) for k = 0..M/2; rebinding frees the indicator before the
+    # sums are allocated
+    spectrum = np.fft.rfft(spectrum).real
     sums = spectrum[1:] / n  # drop alpha=0; grid covers (0, pi]
     j_best = int(np.argmin(sums))
     alpha_best = (j_best + 1) * step
     value_best = float(sums[j_best])
 
     local_step = step
+    span = np.arange(-(_REFINE_POINTS // 2), _REFINE_POINTS // 2 + 1)
     for _ in range(_REFINE_ROUNDS):
         local_step /= 10.0
-        span = np.arange(-(_REFINE_POINTS // 2), _REFINE_POINTS // 2 + 1)
         alphas = alpha_best + span * local_step
         keep = np.flatnonzero((alphas > 0) & (alphas <= math.pi + step))
-        alphas = alphas[keep]
         vals = _grid_sums(
             terms, alpha_best, local_step, int(span[keep[0]]), int(span[keep[-1]])
         ) / n
         j = int(np.argmin(vals))
         if vals[j] <= value_best:
-            alpha_best = float(alphas[j])
+            alpha_best = float(alphas[keep[j]])
             value_best = float(vals[j])
 
     return SignalScan(

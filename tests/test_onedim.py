@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -80,6 +81,9 @@ def test_invalid_initials():
     ((1, 2), (3, 4)),  # not 1-D
     7,  # not a sequence
     (1, 2**70),  # beyond int64
+    (0, 1),  # below 1
+    (1, 2, -(1 << 21)),  # an index below the scan's grid
+    (5, -(2**20 - 5)),  # 5's cell on a scan grid of 2**20 points
 ])
 def test_sequence_refuses_terms_that_are_not_integers_in_one_dimension(terms):
     with pytest.raises(InvalidInitials):
@@ -143,7 +147,7 @@ def _started(*args, **kwargs):
 
 @pytest.mark.parametrize("n_terms", [10**6, 10**7])
 def test_long_runs_of_one_two_pass_the_byte_check(monkeypatch, n_terms):
-    """16 MB and 160 MB up front: the run gets as far as its first allocation."""
+    """8 MB and 80 MB up front: the run gets as far as its first allocation."""
     monkeypatch.setattr(np, "empty", _started)
     with pytest.raises(_Started):
         ulam_sequence((1, 2), n_terms)
@@ -196,6 +200,44 @@ def test_the_traced_peak_stays_within_the_stated_bytes(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= max(stated) + 64 * onedim._BLOCK + 16 * n_terms
+
+
+def test_the_frequency_estimates_stay_small():
+    """The first estimate scans 2000 members on the coarsest grid of
+    alpha_scan, 65536 points; a grid of eight times the largest member
+    (262144 points) would take the peak above 4 MB."""
+    ulam_sequence((1, 2), 100)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        ulam_sequence((1, 2), 20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
+def _former_start(members: np.ndarray) -> int:
+    """The start of an estimate from j = 0 before it came from alpha_scan:
+    the argmin over (0, pi] of the FFT grid of sum(cos(alpha*a)) whose step
+    is at most max(1e-5, pi/(4*top)), at least 8*top points, unrefined."""
+    top = int(members.max())
+    step = max(1e-5, math.pi / (4 * top))
+    m = 1
+    while 2 * math.pi / m > step or m <= top:
+        m *= 2
+    indicator = np.zeros(m)
+    indicator[members] = 1.0
+    sums = np.fft.rfft(indicator).real
+    return (1 + int(np.argmin(sums[1:]))) * (onedim._M // m)
+
+
+@pytest.mark.parametrize("initials", [(1, 2), (1, 3), (2, 3), (2, 5)])
+def test_the_first_estimate_fits_to_the_former_one(initials):
+    """The members at the first estimate are the first 2000 terms; from
+    the scan's start and from the former grid start the fit ends at the
+    same numerator, so the engine takes the same path on these inputs."""
+    members = ulam_sequence(initials, 2000).array
+    assert onedim._estimate(members, 0) == onedim._estimate(members, _former_start(members))
 
 
 def test_gaps_basic():

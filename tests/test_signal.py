@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulamset import cli, consecutive_gaps, fibonacci_bound_check, ulam_sequence
+from ulamset.errors import TooShort
 from ulamset.onedim import Sequence1D
 from ulamset.signal import (
     _TWO_PI,
@@ -105,6 +106,11 @@ def test_scan_rejects_coarse_grid():
     seq = ulam_sequence((1, 2), 100)
     with pytest.raises(ValueError):
         alpha_scan(seq, grid_step=1e-3)
+
+
+def test_scan_refuses_an_empty_sequence():
+    with pytest.raises(TooShort):
+        alpha_scan(Sequence1D((1, 2), []))
 
 
 @pytest.mark.parametrize("grid_step", [0.0, -1e-5, math.nan])
