@@ -1,10 +1,11 @@
+import hashlib
 import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ulamset import cli, consecutive_gaps, fibonacci_bound_check, ulam_sequence
@@ -232,3 +233,77 @@ def test_scan_matches_the_former_refinement(initials, n_terms):
     best_alpha, best_value = FROZEN_SCANS[initials, n_terms]
     assert scan.best_alpha == best_alpha
     assert abs(scan.best_value - best_value) <= 1e-12
+
+
+def _odd_multiples_of_three() -> Sequence1D:
+    """The terms 3*(2n+1) of ``test_scan_constant_gap_all_odd_terms``."""
+    terms = tuple(3 * (2 * n + 1) for n in range(400))
+    return Sequence1D(terms[:2], terms)
+
+
+_SCAN_INPUTS = {
+    "(1,2)": lambda: ulam_sequence((1, 2), 20_000),
+    "(1,3)": lambda: ulam_sequence((1, 3), 5000),
+    "(2,3)": lambda: ulam_sequence((2, 3), 5000),
+    "(2,5)": lambda: ulam_sequence((2, 5), 5000),
+    "3(2n+1)": _odd_multiples_of_three,
+}
+
+# (sha256 of sums.tobytes(), alpha_step, best_alpha, best_value) of each
+# scan, as computed with an indicator of all M values zero-filled up front
+FROZEN_SCAN_DIGESTS = {
+    ("(1,2)", 1e-5): ("54cd8b28969a15894d9215ccd28d6114b2e0d9f4f297259f285fd7f46557fad4",
+                      5.992112452678286e-06, 2.5714481275902377, -0.7971867111899975),
+    ("(1,2)", 1e-4): ("3bad40f3d6269e35f9b7546f40f88a3dc9ddea519d7eb8ceed68e35b2ce6cbe0",
+                      1.1984224905356572e-05, 2.571448127650159, -0.7971867111886315),
+    ("(1,3)", 1e-5): ("3295d7b2eae8dd3f23d2271e25c354f06df1d2c003105c6453c9f9e5a27ed8ee",
+                      5.992112452678286e-06, 2.8334970360199803, -0.7948209360572536),
+    ("(1,3)", 1e-4): ("d0b456444b3180c46e43f504e233f05619b93820b6ec6cd894eff884923e4642",
+                      9.587379924285257e-05, 2.8334970359600593, -0.7948209360567291),
+    ("(2,3)", 1e-5): ("9e808a494cec4b2928835bcc3c0e1a3e3b52bbe2dc3115c10ec1e6a25bbcb075",
+                      5.992112452678286e-06, 1.165013390257499, -0.8270079878215524),
+    ("(2,3)", 1e-4): ("9fab7949ae80ecbae00aaea623e4d8b7b1e998074ac7818739bd4b77a42b7937",
+                      9.587379924285257e-05, 1.165013389897972, -0.8270079877823846),
+    ("(2,5)", 1e-5): ("cf3ddcdb49b41f575f8fd2ab2048b7d59b8a63550feb7558bd7138de2d3892b1",
+                      5.992112452678286e-06, 3.141592653589793, -0.9992),
+    ("(2,5)", 1e-4): ("f62ab49d52f178b2094df0df344a6c8488dc4bd66262b094a9bbe8b6ed8aa762",
+                      9.587379924285257e-05, 3.141592653589793, -0.9992),
+    ("3(2n+1)", 1e-5): ("ae0794698967c69b17284877a65142cc27b057558a6d8da0ab0c2cd947f55744",
+                        5.992112452678286e-06, 3.141592653589793, -1.0),
+    ("3(2n+1)", 1e-4): ("03730389cd3b434d8ecf5a2a30b03830e52fe91c8c5d8d72fc89ec2f74f2575f",
+                        9.587379924285257e-05, 3.141592653589793, -1.0),
+}
+
+
+@pytest.mark.parametrize("name,grid_step", list(FROZEN_SCAN_DIGESTS))
+def test_scan_matches_its_frozen_digest(name, grid_step):
+    scan = alpha_scan(_SCAN_INPUTS[name](), grid_step)
+    digest = hashlib.sha256(scan.sums.tobytes()).hexdigest()
+    assert (digest, scan.alpha_step, scan.best_alpha, scan.best_value) == (
+        FROZEN_SCAN_DIGESTS[name, grid_step])
+
+
+def _full_indicator_sums(terms: list[int], grid_step: float) -> tuple[float, np.ndarray]:
+    """The coarse grid of a scan from an indicator of all M values: M is the
+    smallest power of two above the largest term whose step is at most
+    ``grid_step``."""
+    m = 1
+    while m <= terms[-1] or 2 * math.pi / m > grid_step:
+        m *= 2
+    indicator = np.zeros(m, dtype=np.float64)
+    indicator[terms] = 1.0
+    return 2 * math.pi / m, np.fft.rfft(indicator).real[1:] / len(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 2**17), min_size=1, max_size=300, unique=True).map(sorted))
+@example([1])
+@example([2**16 - 1])  # top = M - 1
+@example([1, 2, 2**16 - 1])
+def test_scan_matches_a_full_length_indicator(terms):
+    """At grid 1e-4 M stays at most 2**18, so the full indicator is small."""
+    scan = alpha_scan(Sequence1D(terms[:1], terms), 1e-4)
+    step, sums = _full_indicator_sums(terms, 1e-4)
+    assert scan.alpha_step == step
+    assert scan.sums.tobytes() == sums.tobytes()
+    assert scan.best_value <= float(sums.min())
