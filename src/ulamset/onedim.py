@@ -74,9 +74,16 @@ members of J up to the end of the block being decided, which bounds every
 value a pull count reads.  So a run holds 8 B per member slot, 4 B per
 live count and 1 B per value below the frontier; the first allocation and
 every growth state that total to ``core._check_bytes``, which raises
-:class:`GridTooLarge` over the budget.  Estimates allocate temporaries
-of their own, and each one from j = 0 the FFT grid of ``alpha_scan``, of
-2**16 values or fewer than twice the largest member; those are not stated.
+:class:`GridTooLarge` over the budget.  So does each estimate from j = 0,
+before it copies the members: to that total it adds 8 B per member for the
+copy and the arrays of ``alpha_scan`` on its coarsest grid (M of 2**16
+values, or the next power of two above the largest member), which are
+8 B per value up to the largest member for the indicator, 16 B per value
+of M/2 + 1 for the spectrum and 8 B per value of M/2 for the sums.  Not
+stated: the transform's working buffers, which it allocates outside numpy
+(about 16 B per value of M, measured with numpy 2.4), the fits' temporaries
+of a few tens of bytes per member, taken after the scan has freed its
+arrays, and the temporaries of estimates from j != 0.
 
 Initials with a common factor g give g times the sequence of the initials
 divided by g, which is computed instead.
@@ -98,7 +105,7 @@ import numpy as np
 
 from .core import _check_bytes
 from .errors import InvalidInitials, TooShort
-from .signal import _MAX_GRID_STEP, alpha_scan
+from .signal import _MAX_GRID_STEP, _scan_bytes, alpha_scan
 
 _M = 1 << 48  # modulus of the residues; a power of two, so it divides 2**64
 _MASK = np.uint64(_M - 1)
@@ -266,11 +273,11 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
     request = f"{n_terms} terms from the initials {inits}"
     slots = max(1024, n_terms + k)
 
-    def check(n_counts: int, n_in_j: int) -> None:
+    def check(n_counts: int, n_in_j: int, scan: int = 0) -> None:
         """State the arrays held with a count window of ``n_counts`` values
         and an ``in_j`` of ``n_in_j``: 8 B per member slot, 4 B per count,
-        1 B per flag."""
-        _check_bytes(8 * slots + 4 * n_counts + n_in_j, request)
+        1 B per flag, plus ``scan`` bytes of a frequency estimate."""
+        _check_bytes(8 * slots + 4 * n_counts + n_in_j + scan, request)
 
     # counts[v - base] for the values v of [base, base + counts.size); base
     # <= lo and base + counts.size > 2 * (largest member) hold throughout,
@@ -385,6 +392,11 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
             lo = end
 
         if nt + nj >= next_estimate and decided < n_terms:
+            if j == 0:
+                # every member is tracked; the estimate holds their copy and
+                # the arrays of its scan
+                top = int(members[:nt].max())
+                check(counts.size, in_j.size, 8 * nt + _scan_bytes(top, _MAX_GRID_STEP))
             # member order reaches _estimate only through float rounding
             mem = np.concatenate((members[:nt], members[slots - nj:]))
             mem.flags.writeable = False  # so the scan does not copy it

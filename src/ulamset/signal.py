@@ -8,7 +8,9 @@ negative for all but finitely many terms.
 
 The coarse scan evaluates S exactly on the Fourier grid alpha = 2*pi*j/M via
 one FFT of the sequence's indicator vector (integer frequencies make this
-exact), then refines the minimizer locally by repeated grid shrinking.  Each
+exact), then refines the minimizer locally by repeated grid shrinking.  The
+indicator covers the values 0..a_max only; the transform pads it with zeros
+to M, so the spectrum is that of the full M-value indicator.  Each
 refinement grid c + k*d, |k| <= 20, is evaluated by angle addition: the
 phases exp(i*c*a) and exp(i*d*a) are computed once, and the other points
 take one complex multiply per term each.  Each term is off by about half an
@@ -71,9 +73,13 @@ def sign_exception_set(seq: Sequence1D, alpha) -> list[int]:
     return seq.array[keep].tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalScan:
-    """Result of a frequency scan: coarse grid plus refined minimizer."""
+    """Result of a frequency scan: coarse grid plus refined minimizer.
+
+    ``sums`` is read-only.  Scans are equal when their grid step, the bytes
+    of their sums and their minimizer and its value are.
+    """
 
     alpha_step: float  # the coarse grid is alpha_step * (1, 2, ...)
     sums: np.ndarray  # normalized S(alpha)/N on the coarse grid
@@ -82,6 +88,18 @@ class SignalScan:
 
     def coarse_alpha(self, j: int) -> float:
         return self.alpha_step + j * self.alpha_step
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SignalScan):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.alpha_step, self.sums.tobytes(), self.best_alpha, self.best_value)
 
     def __repr__(self) -> str:
         return (
@@ -143,32 +161,52 @@ def check_grid_step(grid_step: float) -> None:
         raise ValueError(f"grid step must be in (0, {_MAX_GRID_STEP:g}], got {grid_step}")
 
 
+def _fft_length(top: int, grid_step: float) -> int:
+    """M of a scan whose largest term is ``top``: the smallest power of two
+    that exceeds every term, so no two terms alias, and whose step 2*pi/M
+    is at most ``grid_step``."""
+    m = 1 << top.bit_length()
+    while 2 * math.pi / m > grid_step:
+        m *= 2
+    return m
+
+
+def _scan_bytes(top: int, grid_step: float) -> int:
+    """Bytes of the arrays a scan with largest term ``top`` holds at once:
+    the float64 indicator of the values 0..top, the complex spectrum of
+    M/2 + 1 values and the M/2 float64 sums.  The transform's own working
+    buffer is allocated outside numpy and is not counted."""
+    m = _fft_length(top, grid_step)
+    return 8 * (top + 1) + 16 * (m // 2 + 1) + 8 * (m // 2)
+
+
 def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
     """Locate the minimizer of S(alpha)/N over (0, pi].
 
     Coarse stage: exact evaluation on the Fourier grid 2*pi*j/M (FFT of the
-    term indicator vector) with M chosen so the step is at most
-    ``grid_step``.  Refinement: five rounds of 10x local grid shrinking
-    around the running minimizer, so the final step is below 1e-9, each
-    round evaluated by ``_grid_sums``.  The refined value never exceeds the
-    coarse minimum.  An empty sequence raises :class:`TooShort`.
+    term indicator vector) with M chosen by ``_fft_length`` so the step is
+    at most ``grid_step``.  The indicator is built over the values 0..top
+    only, top the largest term, and the transform pads it with zeros to M,
+    so the spectrum is that of the full M-value indicator; the arrays held
+    are those of ``_scan_bytes``.  Refinement: five rounds of 10x local grid
+    shrinking around the running minimizer, so the final step is below
+    1e-9, each round evaluated by ``_grid_sums``.  The refined value never
+    exceeds the coarse minimum.  An empty sequence raises
+    :class:`TooShort`.
     """
     check_grid_step(grid_step)
     terms = seq.array
     n = terms.size
     if n == 0:
         raise TooShort("need at least one term to scan")
-    # M is the smallest power of two that exceeds every term, so no two
-    # terms alias, and whose step is at most grid_step
-    m = 1 << int(terms.max()).bit_length()
-    while 2 * math.pi / m > grid_step:
-        m *= 2
+    top = int(terms.max())
+    m = _fft_length(top, grid_step)
     step = 2 * math.pi / m
-    spectrum = np.zeros(m, dtype=np.float64)
-    spectrum[terms] = 1.0  # the indicator vector
+    spectrum = np.zeros(top + 1, dtype=np.float64)
+    spectrum[terms] = 1.0  # the indicator vector, up to top
     # S(2*pi*k/M) for k = 0..M/2; rebinding frees the indicator before the
     # sums are allocated
-    spectrum = np.fft.rfft(spectrum).real
+    spectrum = np.fft.rfft(spectrum, m).real
     sums = spectrum[1:] / n  # drop alpha=0; grid covers (0, pi]
     j_best = int(np.argmin(sums))
     alpha_best = (j_best + 1) * step
@@ -188,6 +226,8 @@ def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
             alpha_best = float(alphas[keep[j]])
             value_best = float(vals[j])
 
+    # only now: numpy's argmin copies a read-only array
+    sums.flags.writeable = False
     return SignalScan(
         alpha_step=step,
         sums=sums,

@@ -17,6 +17,7 @@ from ulamset import (
     fibonacci_bound_check,
     generate,
     onedim,
+    signal,
     ulam_sequence,
     validate_config,
 )
@@ -214,6 +215,29 @@ def test_the_frequency_estimates_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+
+
+def _no_transform(*args, **kwargs):
+    raise AssertionError("the transform ran before the byte check")
+
+
+def test_an_estimate_from_zero_states_its_scan_before_the_transform(monkeypatch):
+    """The first estimate of (1, 2), at 2000 members, states the engine's
+    arrays, 8 B per member for the copy it scans and the scan's indicator,
+    spectrum and sums.  With the limit 1 KB above the engine's own arrays
+    there, the run is refused before the transform runs."""
+    top = int(ulam_sequence((1, 2), 2000).array[-1])
+    scan = signal._scan_bytes(top, signal._MAX_GRID_STEP)
+    stated = _record_statements(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(np.fft, "rfft", _started)
+        with pytest.raises(_Started):
+            ulam_sequence((1, 2), 3000)
+    assert stated[-1] == stated[-2] + 8 * 2000 + scan
+    monkeypatch.setattr(np.fft, "rfft", _no_transform)
+    monkeypatch.setattr(core, "_MAX_BYTES", stated[-2] + 1024)
+    with pytest.raises(GridTooLarge, match=r"3000 terms from the initials \(1, 2\)"):
+        ulam_sequence((1, 2), 3000)
 
 
 def _former_start(members: np.ndarray) -> int:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from ulamset.signal import (
     _TWO_PI,
     _grid_sums,
     _reduced_args,
+    _scan_bytes,
     alpha_scan,
     cosine_sum,
     sign_exception_set,
@@ -30,6 +32,36 @@ def test_scan_repr_shows_the_minimiser_and_grid():
     scan = alpha_scan(ulam_sequence((1, 2), 200))
     assert re.fullmatch(r"SignalScan\(best_alpha=2\.571\d{6}, best_value=-0\.\d{4}, "
                         r"grid=524288\)", repr(scan))
+
+
+def test_scans_compare_and_hash_by_value():
+    seq = ulam_sequence((1, 2), 300)
+    scan, again = alpha_scan(seq), alpha_scan(seq)
+    assert scan == again and hash(scan) == hash(again) and len({scan, again}) == 1
+    assert scan != alpha_scan(seq, 1e-4)
+    assert scan != alpha_scan(ulam_sequence((1, 2), 301))
+    assert scan != repr(scan)
+    with pytest.raises(ValueError, match="read-only"):
+        scan.sums[0] = 0.0
+
+
+def test_the_scan_holds_only_its_indicator_spectrum_and_sums():
+    """The indicator stops at the largest term: (2, 5) at 2000 terms tops
+    out at 7855, on a grid of M = 2**20 values.  The transform's working
+    buffer is allocated outside numpy, so tracemalloc does not see it."""
+    seq = ulam_sequence((2, 5), 2000)
+    alpha_scan(seq)  # first-call caches
+    tracemalloc.start()
+    try:
+        scan = alpha_scan(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m, top = 2 * scan.sums.size, int(seq.array[-1])
+    arrays = 16 * (m // 2 + 1) + 8 * (m // 2) + 8 * (top + 1)
+    assert (m, top) == (2**20, 7855)
+    assert _scan_bytes(top, 1e-5) == arrays
+    assert peak < arrays + 1_000_000
 
 
 def test_cosine_sum_at_zero_is_count():
