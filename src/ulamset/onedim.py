@@ -74,16 +74,10 @@ members of J up to the end of the block being decided, which bounds every
 value a pull count reads.  So a run holds 8 B per member slot, 4 B per
 live count and 1 B per value below the frontier; the first allocation and
 every growth state that total to ``core._check_bytes``, which raises
-:class:`GridTooLarge` over the budget.  So does each estimate from j = 0,
-before it copies the members: to that total it adds 8 B per member for the
-copy and the arrays of ``alpha_scan`` on its coarsest grid (M of 2**16
-values, or the next power of two above the largest member), which are
-8 B per value up to the largest member for the indicator, 16 B per value
-of M/2 + 1 for the spectrum and 8 B per value of M/2 for the sums.  Not
-stated: the transform's working buffers, which it allocates outside numpy
-(about 16 B per value of M, measured with numpy 2.4), the fits' temporaries
-of a few tens of bytes per member, taken after the scan has freed its
-arrays, and the temporaries of estimates from j != 0.
+:class:`GridTooLarge` over the budget.  Each estimate from j = 0 states
+that total plus 8 B per member and ``signal._scan_bytes`` of its scan,
+before it allocates them.  Not stated: the transform's working buffers
+(about 16 B per value of M, outside numpy) and the fits' temporaries.
 
 Initials with a common factor g give g times the sequence of the initials
 divided by g, which is computed instead.

@@ -8,9 +8,8 @@ negative for all but finitely many terms.
 
 The coarse scan evaluates S exactly on the Fourier grid alpha = 2*pi*j/M via
 one FFT of the sequence's indicator vector (integer frequencies make this
-exact), then refines the minimizer locally by repeated grid shrinking.  The
-indicator covers the values 0..a_max only; the transform pads it with zeros
-to M, so the spectrum is that of the full M-value indicator.  Each
+exact; the transform pads the indicator, which stops at a_max, with zeros
+to M), then refines the minimizer locally by repeated grid shrinking.  Each
 refinement grid c + k*d, |k| <= 20, is evaluated by angle addition: the
 phases exp(i*c*a) and exp(i*d*a) are computed once, and the other points
 take one complex multiply per term each.  Each term is off by about half an
@@ -75,11 +74,8 @@ def sign_exception_set(seq: Sequence1D, alpha) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class SignalScan:
-    """Result of a frequency scan: coarse grid plus refined minimizer.
-
-    ``sums`` is read-only.  Scans are equal when their grid step, the bytes
-    of their sums and their minimizer and its value are.
-    """
+    """Result of a frequency scan: coarse grid (read-only ``sums``) plus
+    refined minimizer.  Equal scans have equal fields and sums bytes."""
 
     alpha_step: float  # the coarse grid is alpha_step * (1, 2, ...)
     sums: np.ndarray  # normalized S(alpha)/N on the coarse grid
@@ -162,9 +158,8 @@ def check_grid_step(grid_step: float) -> None:
 
 
 def _fft_length(top: int, grid_step: float) -> int:
-    """M of a scan whose largest term is ``top``: the smallest power of two
-    that exceeds every term, so no two terms alias, and whose step 2*pi/M
-    is at most ``grid_step``."""
+    """M: the smallest power of two above ``top``, so no two terms alias,
+    whose step 2*pi/M is at most ``grid_step``."""
     m = 1 << top.bit_length()
     while 2 * math.pi / m > grid_step:
         m *= 2
@@ -172,10 +167,8 @@ def _fft_length(top: int, grid_step: float) -> int:
 
 
 def _scan_bytes(top: int, grid_step: float) -> int:
-    """Bytes of the arrays a scan with largest term ``top`` holds at once:
-    the float64 indicator of the values 0..top, the complex spectrum of
-    M/2 + 1 values and the M/2 float64 sums.  The transform's own working
-    buffer is allocated outside numpy and is not counted."""
+    """Bytes a scan holds at once: its float64 indicator of 0..top, complex
+    spectrum of M/2 + 1 values and M/2 float64 sums."""
     m = _fft_length(top, grid_step)
     return 8 * (top + 1) + 16 * (m // 2 + 1) + 8 * (m // 2)
 
@@ -184,12 +177,9 @@ def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
     """Locate the minimizer of S(alpha)/N over (0, pi].
 
     Coarse stage: exact evaluation on the Fourier grid 2*pi*j/M (FFT of the
-    term indicator vector) with M chosen by ``_fft_length`` so the step is
-    at most ``grid_step``.  The indicator is built over the values 0..top
-    only, top the largest term, and the transform pads it with zeros to M,
-    so the spectrum is that of the full M-value indicator; the arrays held
-    are those of ``_scan_bytes``.  Refinement: five rounds of 10x local grid
-    shrinking around the running minimizer, so the final step is below
+    term indicator vector, padded to M by the transform) with M chosen so
+    the step is at most ``grid_step``.  Refinement: five rounds of 10x local
+    grid shrinking around the running minimizer, so the final step is below
     1e-9, each round evaluated by ``_grid_sums``.  The refined value never
     exceeds the coarse minimum.  An empty sequence raises
     :class:`TooShort`.
