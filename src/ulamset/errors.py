@@ -30,7 +30,7 @@ class BoundTooSmall(UlamError):
 
 
 class GridTooLarge(UlamError):
-    """A count grid that a request needs takes more bytes than the limit."""
+    """An array that a request needs takes more bytes than the limit."""
 
 
 class InvalidInitials(UlamError):

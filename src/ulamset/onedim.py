@@ -40,15 +40,19 @@ pairs that reject a value outside J.
 Inside a window, an admission x adds 1 at x + a < end for every partner a
 it is counted with (the tracked members if x is in J, all members if it
 is an outlier); since x >= lo, only the partners below ``_WINDOW`` can
-land there.  Those additions go to a tally of the window, one bit field
-per value.  The scatter of a member of J into ``counts`` waits for the
-end of the window, or for the next outlier admission, whose own scatter
-over all members then counts each pair once, under the tracked set of its
-later summand.  The count read for a value v is thus ``counts`` at the
-start of the window plus every pair whose later summand was admitted in
-the window and whose sum is v: exactly the count of a value-by-value
-scan.  Pairs that land at or beyond end are in ``counts`` before the next
-window reads it.
+land there.  Those additions go to two bit sets of the window, which
+saturate at two: bit v - lo of ``once`` is set when they add at least one
+pair at v, and of ``twice`` when they add at least two.  The scatter of a
+member of J into ``counts`` waits for the end of the window, or for the
+next outlier admission, whose own scatter over all members then counts
+each pair once, under the tracked set of its later summand.  The count
+read for a value v is thus c, its ``counts`` entry at the start of the
+window, plus min(h, 2), where h is the number of pairs whose later summand
+was admitted in the window and whose sum is v; c + h is the count of a
+value-by-value scan.  The saturation is exact: c <= 1, so c + min(h, 2)
+is 1 iff c + h is 1 and exceeds 1 iff c + h does, and those are the only
+questions the admission rule asks of a count.  Pairs that land at or
+beyond end are in ``counts`` before the next window reads it.
 
 Frequency.  Until the member count reaches ``_FIRST_ESTIMATE``, j = 0:
 no value is in J, every member is an outlier, and the counts are the full
@@ -62,9 +66,9 @@ reads a count below that value again.  When more than
 to pay for the pull counts; j goes back to 0 until the next estimate.
 Every step above is exact for any j, so the frequency affects the speed
 only, never the output.  For (1, 2) about 100 of the first 5e4 members are
-outliers, and 5e4 terms come at about 209 000 terms per second
-(``onedim.terms_per_s`` of the benchmark's seq1d workload, on a 2-vCPU
-Xeon).
+outliers, and 5e4 terms come at 135 000 to 250 000 terms per second,
+with the host's speed (``onedim.terms_per_s`` of the benchmark's seq1d
+workload, on a shared 2-vCPU Xeon).
 
 Memory.  The counts are held only for the live values: a uint32 window
 from ``base`` <= lo past twice the largest member, which slides up to lo
@@ -76,8 +80,8 @@ live count and 1 B per value below the frontier; the first allocation and
 every growth state that total to ``core._check_bytes``, which raises
 :class:`GridTooLarge` over the budget.  Each estimate from j = 0 states
 that total plus 8 B per member and ``signal._scan_bytes`` of its scan,
-before it allocates them.  Not stated: the transform's working buffers
-(about 16 B per value of M, outside numpy) and the fits' temporaries.
+the transform's working buffers included, before it allocates them.  Not
+stated: the fits' temporaries.
 
 Initials with a common factor g give g times the sequence of the initials
 divided by g, which is computed instead.
@@ -106,7 +110,7 @@ _MASK = np.uint64(_M - 1)
 _FIRST_ESTIMATE = 2000  # member count of the first frequency estimate
 _FIT_ROUNDS = 8  # least-squares rounds; each one re-selects the residues in J
 _BLOCK = 1 << 14  # values per block of classes
-_WINDOW = 128  # values per window of counts read at once
+_WINDOW = 256  # values per window of counts read at once
 _TRACKED_J = 64  # smallest members of J whose pairs are counted like outliers
 _MAX_OUTLIER_SHARE = 0.05  # above it, pull counts cost more than full counts
 _HEADROOM = 1.25  # a growing array's length over the values it must cover
@@ -207,12 +211,12 @@ def _pull_count(v: int, in_j: np.ndarray, j_members: np.ndarray) -> int:
     return int(np.count_nonzero(in_j[v - j_members[2 * j_members < v]]))
 
 
-def _window_partners(values: np.ndarray, width: int) -> int:
-    """The values a below ``_WINDOW``, as 1 in field a of ``width`` bits of
-    one integer: the only partners whose sums with a new term land in the
-    window it was admitted in.  Shifted by x - lo fields, it is the tally
-    of the pairs of x."""
-    return sum(1 << (width * a) for a in values[values < _WINDOW].tolist())
+def _window_partners(values: np.ndarray) -> int:
+    """The values a below ``_WINDOW``, as bit a of one integer: the only
+    partners whose sums with a new term land in the window it was admitted
+    in.  Shifted by x - lo, it marks the values of the window [lo, end) at
+    which x adds a pair."""
+    return sum(1 << a for a in values[values < _WINDOW].tolist())
 
 
 def _candidates(window: np.ndarray, lo: int, cls: np.ndarray) -> zip:
@@ -301,12 +305,8 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
     decided = 0  # terms so far
     pi = 0  # initials merged into the terms so far
     lo = 1  # next undecided value
-    # bits per value of a window tally: fewer than 2**width admissions add
-    # to one field, so no field carries into the next
-    width = _WINDOW.bit_length()
-    field_mask = (1 << width) - 1
     # members below _WINDOW, all of them and the tracked ones
-    small = small_tracked = _window_partners(members[:nt], width)
+    small = small_tracked = _window_partners(members[:nt])
 
     while decided < n_terms:
         if pi < k and inits[pi] == lo:
@@ -328,13 +328,15 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
 
         while lo < hi and nt + nj < next_estimate and decided < n_terms:
             end = min(lo + _WINDOW, hi)  # one window [lo, end)
-            added = 0  # pairs of this window's admissions, a field per value
+            # bit v - lo: this window's admissions added at least one pair
+            # at v (once), at least two (twice)
+            once = twice = 0
             # members[slots - nj:slots - nj0] are the members of J admitted
             # in it, not yet in counts
             nj0 = nj
             found = _candidates(counts[lo - base:end - base], lo, cls[lo - start:end - start])
             for x, c, in_cls in found:
-                c += added >> (width * (x - lo)) & field_mask
+                c += (once >> (x - lo) & 1) + (twice >> (x - lo) & 1)
                 if in_cls or nj == 0:
                     if c != 1:
                         continue
@@ -373,11 +375,12 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
                     members[nt] = x
                     nt += 1
                     partners = small
-                added += partners << (width * (x - lo))
+                hit = partners << (x - lo)
+                once, twice = once | hit, twice | once & hit
                 if x < _WINDOW:
-                    small |= 1 << (width * x)
+                    small |= 1 << x
                     if not in_cls:
-                        small_tracked |= 1 << (width * x)
+                        small_tracked |= 1 << x
                 if nt + nj >= next_estimate or decided == n_terms:
                     end = x + 1
                     break
@@ -407,7 +410,7 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
             now_tracked = np.sort(np.concatenate((mem[~cls_m], in_class[:_TRACKED_J])))
             nt = now_tracked.size
             members[:nt] = now_tracked
-            small_tracked = _window_partners(now_tracked, width)
+            small_tracked = _window_partners(now_tracked)
             untracked = in_class[_TRACKED_J:]
             nj = untracked.size
             members[slots - nj:] = untracked

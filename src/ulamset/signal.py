@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .core import _check_bytes
 from .errors import TooShort
 
 if TYPE_CHECKING:  # onedim imports this module for its frequency estimate
@@ -168,9 +169,11 @@ def _fft_length(top: int, grid_step: float) -> int:
 
 def _scan_bytes(top: int, grid_step: float) -> int:
     """Bytes a scan holds at once: its float64 indicator of 0..top, complex
-    spectrum of M/2 + 1 values and M/2 float64 sums."""
+    spectrum of M/2 + 1 values, M/2 float64 sums, and 16 B per value of M
+    for the transform's scratch copy and cached plan, which pocketfft
+    allocates outside numpy."""
     m = _fft_length(top, grid_step)
-    return 8 * (top + 1) + 16 * (m // 2 + 1) + 8 * (m // 2)
+    return 8 * (top + 1) + 16 * (m // 2 + 1) + 8 * (m // 2) + 16 * m
 
 
 def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
@@ -182,7 +185,8 @@ def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
     grid shrinking around the running minimizer, so the final step is below
     1e-9, each round evaluated by ``_grid_sums``.  The refined value never
     exceeds the coarse minimum.  An empty sequence raises
-    :class:`TooShort`.
+    :class:`TooShort`; a scan whose ``_scan_bytes`` exceed the budget
+    raises :class:`GridTooLarge` before it allocates.
     """
     check_grid_step(grid_step)
     terms = seq.array
@@ -190,6 +194,8 @@ def alpha_scan(seq: Sequence1D, grid_step: float = _COARSE_STEP) -> SignalScan:
     if n == 0:
         raise TooShort("need at least one term to scan")
     top = int(terms.max())
+    _check_bytes(_scan_bytes(top, grid_step),
+                 f"a scan of {n} terms up to {top} at step {grid_step:g}")
     m = _fft_length(top, grid_step)
     step = 2 * math.pi / m
     spectrum = np.zeros(top + 1, dtype=np.float64)

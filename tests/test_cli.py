@@ -255,6 +255,17 @@ def test_signal_cli_rejects_nonpositive_coarse_step(capsys, step):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_signal_cli_refuses_a_scan_over_the_budget(capsys):
+    """At the step 1e-9 the scan needs M = 2**33, about 240 GB: one error
+    line, no traceback."""
+    assert run(["signal", "--terms", "200", "--coarse-step", "1e-9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: a scan of 200 terms up to 1792 at step 1e-09: ")
+    assert line.endswith("bytes, over the limit of 300000000")
+
+
 def test_signal_cli_rejects_zero_csv_points(tmp_path, capsys):
     csv = tmp_path / "scan.csv"
     code = run(["signal", "--init", "1,2", "--terms", "200",

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ulamset import cli, consecutive_gaps, fibonacci_bound_check, ulam_sequence
-from ulamset.errors import TooShort
+from ulamset import cli, consecutive_gaps, core, fibonacci_bound_check, ulam_sequence
+from ulamset.errors import GridTooLarge, TooShort
 from ulamset.onedim import Sequence1D
 from ulamset.signal import (
     _TWO_PI,
@@ -60,8 +60,34 @@ def test_the_scan_holds_only_its_indicator_spectrum_and_sums():
     m, top = 2 * scan.sums.size, int(seq.array[-1])
     arrays = 16 * (m // 2 + 1) + 8 * (m // 2) + 8 * (top + 1)
     assert (m, top) == (2**20, 7855)
-    assert _scan_bytes(top, 1e-5) == arrays
+    assert _scan_bytes(top, 1e-5) == arrays + 16 * m
     assert peak < arrays + 1_000_000
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("the scan allocated")
+
+
+@pytest.mark.parametrize("terms, step", [([1, 10**12], 1e-5), ([1, 2, 3], 1e-9)])
+def test_an_oversized_scan_is_refused_before_it_allocates(monkeypatch, terms, step):
+    """A largest term of 10**12 needs M = 2**40, and the step 1e-9 needs
+    M = 2**33: both are refused before the indicator or the transform."""
+    seq = Sequence1D((1,), terms)
+    monkeypatch.setattr(np, "zeros", _no_allocation)
+    monkeypatch.setattr(np.fft, "rfft", _no_allocation)
+    with pytest.raises(GridTooLarge, match=f"^a scan of {len(terms)} terms up to "
+                                           f"{max(terms)} at step {step:g}: "):
+        alpha_scan(seq, step)
+
+
+def test_a_scan_is_served_up_to_its_statement(monkeypatch):
+    seq = ulam_sequence((2, 5), 2000)
+    stated = _scan_bytes(7855, 1e-5)
+    monkeypatch.setattr(core, "_MAX_BYTES", stated)
+    assert alpha_scan(seq).sums.size == 2**19
+    monkeypatch.setattr(core, "_MAX_BYTES", stated - 1)
+    with pytest.raises(GridTooLarge, match=f": {stated} bytes, over the limit of {stated - 1}$"):
+        alpha_scan(seq)
 
 
 def test_cosine_sum_at_zero_is_count():
