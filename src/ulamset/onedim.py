@@ -66,7 +66,7 @@ reads a count below that value again.  When more than
 to pay for the pull counts; j goes back to 0 until the next estimate.
 Every step above is exact for any j, so the frequency affects the speed
 only, never the output.  For (1, 2) about 100 of the first 5e4 members are
-outliers, and 5e4 terms come at 135 000 to 250 000 terms per second,
+outliers, and 5e4 terms come at 117 000 to 210 000 terms per second,
 with the host's speed (``onedim.terms_per_s`` of the benchmark's seq1d
 workload, on a shared 2-vCPU Xeon).
 
@@ -110,7 +110,7 @@ _MASK = np.uint64(_M - 1)
 _FIRST_ESTIMATE = 2000  # member count of the first frequency estimate
 _FIT_ROUNDS = 8  # least-squares rounds; each one re-selects the residues in J
 _BLOCK = 1 << 14  # values per block of classes
-_WINDOW = 256  # values per window of counts read at once
+_WINDOW = 128  # values per window of counts read at once
 _TRACKED_J = 64  # smallest members of J whose pairs are counted like outliers
 _MAX_OUTLIER_SHARE = 0.05  # above it, pull counts cost more than full counts
 _HEADROOM = 1.25  # a growing array's length over the values it must cover

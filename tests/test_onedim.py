@@ -464,9 +464,11 @@ def test_first_untracked_member_of_the_class_inside_a_block(initials, j, first):
 # 21 terms precede the pending initial 90; then the window slides 9 times
 # and grows 8 times, across estimates that move it to the next value
 @example([7, 11, 90], [0, 193081596755779, 0], 7, 0)
-# the engine's window width and a wider one, on the two cases above
+# the engine's window width and two wider ones, on the two cases above
+@example([1, 2], [109722824127411] * 3, 128, 2)
 @example([1, 2], [109722824127411] * 3, 256, 2)
 @example([1, 2], [109722824127411] * 3, 1024, 2)
+@example([7, 11, 90], [0, 193081596755779, 0], 128, 0)
 @example([7, 11, 90], [0, 193081596755779, 0], 256, 0)
 @example([7, 11, 90], [0, 193081596755779, 0], 1024, 0)
 # at this frequency one window admits 135 and 137, in J, and then the
