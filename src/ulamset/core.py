@@ -197,8 +197,22 @@ def validate_config(raw, dim: int) -> InitialConfig:
     return InitialConfig(dim, tuple(pts))
 
 
+class _KeyedEq:
+    """Equality and hash over ``self._key``, for results that hold arrays,
+    whose own ``==`` is elementwise.  Subclasses that are dataclasses take
+    ``eq=False``, so that the dataclass keeps these methods."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+
 @dataclass(frozen=True, eq=False, init=False)
-class UlamSet:
+class UlamSet(_KeyedEq):
     """A generated set truncated to a bound.
 
     A set is its ``coords``, the only data it stores: the points as a
@@ -238,14 +252,6 @@ class UlamSet:
 
     def __len__(self) -> int:
         return len(self.coords)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UlamSet):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     def __repr__(self) -> str:
         return (f"UlamSet(k={self.config.k}, dim={self.dim}, "

@@ -17,14 +17,14 @@ and r2 in J, r1 + r2 lies in (2M/3, 4M/3), so 3*((r1 + r2) mod M) lies in
 (2M, 3M) or in [0, M), never in (M, 2M).  A member outside J is an
 *outlier*.
 
-Counts.  The *tracked* members are the outliers and the ``_TRACKED_J``
-smallest members of J; the members are stored once, in one int64 array
-that holds the tracked members from its front and the untracked members
-of J from its back, and that becomes the terms at the end.  The count of
-v holds the number of member pairs {a, b}, a != b, a + b = v, with at
-least one tracked summand.  Admitting an untracked member of J adds its
-sums with the tracked members; admitting an outlier adds its sums with
-all members.
+Counts.  The *tracked* members are the outliers, the ``_TRACKED_J``
+smallest members of J and every member below ``_WINDOW``; the members are
+stored once, in one int64 array that holds the tracked members from its
+front and the untracked members of J from its back, and that becomes the
+terms at the end.  The count of v holds the number of member pairs
+{a, b}, a != b, a + b = v, with at least one tracked summand.  Admitting
+an untracked member of J adds its sums with the tracked members;
+admitting a tracked member adds its sums with all members.
 
 Candidates.  Values are decided in increasing order, in windows [lo, end)
 of at most ``_WINDOW`` values.  A window reads its counts once, at its start;
@@ -37,18 +37,21 @@ in one pass over those members.  Tracking the smallest members of J as
 well as the outliers makes that count rare: the counts already hold most
 pairs that reject a value outside J.
 
-Inside a window, an admission x adds 1 at x + a < end for every partner a
-it is counted with (the tracked members if x is in J, all members if it
-is an outlier); since x >= lo, only the partners below ``_WINDOW`` can
-land there.  Those additions go to two bit sets of the window, which
-saturate at two: bit v - lo of ``once`` is set when they add at least one
-pair at v, and of ``twice`` when they add at least two.  The scatter of a
-member of J into ``counts`` waits for the end of the window, or for the
-next outlier admission, whose own scatter over all members then counts
-each pair once, under the tracked set of its later summand.  The count
-read for a value v is thus c, its ``counts`` entry at the start of the
-window, plus min(h, 2), where h is the number of pairs whose later summand
-was admitted in the window and whose sum is v; c + h is the count of a
+Inside a window, an admission x adds 1 at x + a < end for each member a
+it is counted with; since x >= lo, only the members below ``_WINDOW`` can
+land there, and those are all tracked, so every admission has them as its
+partners.  Their pairs go to two bit sets of the window, which saturate
+at two: bit v - lo of ``once`` is set when they add at least one pair at
+v, and of ``twice`` when they add at least two.  No such pair is also in
+a pull count, which pairs two untracked members of J: the later one is
+at least lo and the earlier at least ``_WINDOW``, so their sum is at
+least lo + ``_WINDOW`` >= end.  The scatter of an untracked member of J
+into ``counts`` waits for the end of the window, or for the next tracked
+admission, whose own scatter over all members then counts each pair
+once, under the tracked set of its later summand.  The count read for a
+value v is thus c, its ``counts`` entry at the start of the window, plus
+min(h, 2), where h is the number of pairs whose later summand was
+admitted in the window and whose sum is v; c + h is the count of a
 value-by-value scan.  The saturation is exact: c <= 1, so c + min(h, 2)
 is 1 iff c + h is 1 and exceeds 1 iff c + h does, and those are the only
 questions the admission rule asks of a count.  Pairs that land at or
@@ -75,13 +78,15 @@ from ``base`` <= lo past twice the largest member, which slides up to lo
 when a new term needs room above it and then grows to ``_HEADROOM`` times
 the values it must cover if it has less.  ``in_j`` flags the untracked
 members of J up to the end of the block being decided, which bounds every
-value a pull count reads.  So a run holds 8 B per member slot, 4 B per
-live count and 1 B per value below the frontier; the first allocation and
-every growth state that total to ``core._check_bytes``, which raises
-:class:`GridTooLarge` over the budget.  Each estimate from j = 0 states
-that total plus 8 B per member and ``signal._scan_bytes`` of its scan,
-the transform's working buffers included, before it allocates them.  Not
-stated: the fits' temporaries.
+value a pull count reads, and grows the same way.  A growth that would
+pass the budget only by its headroom takes the part of it that fits.  So
+a run holds 8 B per member slot, 4 B per live count and 1 B per value
+below the frontier; the first allocation and every growth state that
+total to ``core._check_bytes``, which raises :class:`GridTooLarge` over
+the budget.  Each estimate from j = 0 states that total plus 8 B per
+member and ``signal._scan_bytes`` of its scan, the transform's working
+buffers included, before it allocates them.  Not stated: the fits'
+temporaries.
 
 Initials with a common factor g give g times the sequence of the initials
 divided by g, which is computed instead.
@@ -101,7 +106,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _check_bytes
+from . import core
+from .core import _KeyedEq, _check_bytes
 from .errors import InvalidInitials, TooShort
 from .signal import _MAX_GRID_STEP, _scan_bytes, alpha_scan
 
@@ -117,7 +123,7 @@ _HEADROOM = 1.25  # a growing array's length over the values it must cover
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Sequence1D:
+class Sequence1D(_KeyedEq):
     """A computed prefix of a one-dimensional Ulam sequence.
 
     A sequence stores its ``initials`` and ``array``, its terms as a
@@ -144,14 +150,6 @@ class Sequence1D:
 
     def __len__(self) -> int:
         return len(self.array)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence1D):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     def __repr__(self) -> str:
         head = ", ".join(map(str, self.array[:8].tolist()))
@@ -198,7 +196,10 @@ def _estimate(members: np.ndarray, j: int) -> int:
         if np.count_nonzero(inside) < 2:
             break
         xs = x[inside] - x[inside].mean()
-        drift = float(xs @ d[inside]) / float(xs @ xs)  # turns per unit value
+        # turns per unit value; einsum, not a BLAS dot: from 16 000 members
+        # the dot may wake worker threads, and an estimate then took 60-66
+        # ms on a 2-vCPU Xeon instead of 1-3 ms
+        drift = float(np.einsum("i,i->", xs, d[inside]) / np.einsum("i,i->", xs, xs))
         shift = round(drift * _M)
         if shift == 0:
             break
@@ -209,14 +210,6 @@ def _estimate(members: np.ndarray, j: int) -> int:
 def _pull_count(v: int, in_j: np.ndarray, j_members: np.ndarray) -> int:
     """Pairs of members of J that sum to v."""
     return int(np.count_nonzero(in_j[v - j_members[2 * j_members < v]]))
-
-
-def _window_partners(values: np.ndarray) -> int:
-    """The values a below ``_WINDOW``, as bit a of one integer: the only
-    partners whose sums with a new term land in the window it was admitted
-    in.  Shifted by x - lo, it marks the values of the window [lo, end) at
-    which x adds a pair."""
-    return sum(1 << a for a in values[values < _WINDOW].tolist())
 
 
 def _candidates(window: np.ndarray, lo: int, cls: np.ndarray) -> zip:
@@ -230,9 +223,9 @@ def _candidates(window: np.ndarray, lo: int, cls: np.ndarray) -> zip:
 
 
 def _scatter(counts: np.ndarray, batch: np.ndarray, tracked: np.ndarray, base: int) -> None:
-    """Count the pairs of each member of J in ``batch`` with the tracked
-    members, in the count window from ``base``; sums of different members
-    may coincide, hence ``np.add.at``."""
+    """Count the pairs of each untracked member of J in ``batch`` with the
+    tracked members, in the count window from ``base``; sums of different
+    members may coincide, hence ``np.add.at``."""
     sums = ((batch - base)[:, None] + tracked).ravel()
     np.add.at(counts, sums, np.uint32(1))  # with a Python 1 it takes about 30x as long
 
@@ -277,6 +270,13 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
         1 B per flag, plus ``scan`` bytes of a frequency estimate."""
         _check_bytes(8 * slots + 4 * n_counts + n_in_j + scan, request)
 
+    def grown(need: int, per: int, other: int) -> int:
+        """Length of an array of ``per`` B a value that must cover ``need``
+        values, beside ``other`` bytes of the other grown array: the headroom
+        of ``_covering``, cut to what fits in the budget, never below need."""
+        fits = (core._MAX_BYTES - 8 * slots - other) // per
+        return max(need, min(_covering(need), fits))
+
     # counts[v - base] for the values v of [base, base + counts.size); base
     # <= lo and base + counts.size > 2 * (largest member) hold throughout,
     # so the window holds every count still to be read or added to
@@ -284,9 +284,9 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
     n_counts = _covering(2 * inits[-1])
     check(n_counts, base + n_counts)
 
-    # The members, each once: the tracked ones (outliers and a few members
-    # of J) from the front, the other members of J from the back.  j = 0
-    # until the first estimate: every member is an outlier.
+    # The members, each once: the tracked ones (outliers and the smallest
+    # members of J) from the front, the other members of J from the back.
+    # j = 0 until the first estimate: every member is an outlier.
     j = 0
     members = np.empty(slots, dtype=np.int64)
     members[:k] = inits
@@ -305,8 +305,8 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
     decided = 0  # terms so far
     pi = 0  # initials merged into the terms so far
     lo = 1  # next undecided value
-    # members below _WINDOW, all of them and the tracked ones
-    small = small_tracked = _window_partners(members[:nt])
+    # bit a: a is a member below _WINDOW, and so tracked
+    small = sum(1 << a for a in inits if a < _WINDOW)
 
     while decided < n_terms:
         if pi < k and inits[pi] == lo:
@@ -321,7 +321,7 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
         start = lo
         hi = min(lo + _BLOCK, base + counts.size, inits[pi] if pi < k else lo + _BLOCK)
         if hi > in_j.size:
-            n_in_j = _covering(hi)
+            n_in_j = grown(hi, 1, 4 * counts.size)
             check(counts.size, n_in_j)
             in_j.resize(n_in_j, refcheck=False)  # zero-filled; no view of in_j is held
         cls = _in_class(_residues(np.arange(lo, hi, dtype=np.int64), j))
@@ -353,17 +353,16 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
                     counts[:live] = counts[lo - base:]
                     counts[live:] = 0
                     base = lo
-                    n_counts = _covering(2 * x + 1 - lo)
+                    n_counts = grown(2 * x + 1 - lo, 4, in_j.size)
                     if n_counts > counts.size:
                         check(n_counts, in_j.size)
                         # zero-filled, in place where realloc can; no view
                         # of counts is held
                         counts.resize(n_counts, refcheck=False)
-                if in_cls:
+                if in_cls and x >= _WINDOW:  # an untracked member of J
                     in_j[x] = True
                     nj += 1
                     members[slots - nj] = x
-                    partners = small_tracked
                 else:
                     if nj > nj0:  # with members[:nt] before x joins them
                         _scatter(counts, members[slots - nj:slots - nj0], members[:nt], base)
@@ -374,13 +373,10 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
                         counts[members[slots - nj:] + (x - base)] += 1
                     members[nt] = x
                     nt += 1
-                    partners = small
-                hit = partners << (x - lo)
+                hit = small << (x - lo)  # before x joins small: no pair x + x
                 once, twice = once | hit, twice | once & hit
                 if x < _WINDOW:
                     small |= 1 << x
-                    if not in_cls:
-                        small_tracked |= 1 << x
                 if nt + nj >= next_estimate or decided == n_terms:
                     end = x + 1
                     break
@@ -407,11 +403,11 @@ def ulam_sequence(initials, n_terms: int) -> Sequence1D:
                 continue  # the counts are complete already
             j = estimate
             in_class = np.sort(mem[cls_m])
-            now_tracked = np.sort(np.concatenate((mem[~cls_m], in_class[:_TRACKED_J])))
+            n_tracked_j = max(_TRACKED_J, int(np.searchsorted(in_class, _WINDOW)))
+            now_tracked = np.sort(np.concatenate((mem[~cls_m], in_class[:n_tracked_j])))
             nt = now_tracked.size
             members[:nt] = now_tracked
-            small_tracked = _window_partners(now_tracked)
-            untracked = in_class[_TRACKED_J:]
+            untracked = in_class[n_tracked_j:]
             nj = untracked.size
             members[slots - nj:] = untracked
             in_j[:] = False

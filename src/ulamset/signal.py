@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import _check_bytes
+from .core import _KeyedEq, _check_bytes
 from .errors import TooShort
 
 if TYPE_CHECKING:  # onedim imports this module for its frequency estimate
@@ -74,7 +74,7 @@ def sign_exception_set(seq: Sequence1D, alpha) -> list[int]:
 
 
 @dataclass(frozen=True, eq=False)
-class SignalScan:
+class SignalScan(_KeyedEq):
     """Result of a frequency scan: coarse grid (read-only ``sums``) plus
     refined minimizer.  Equal scans have equal fields and sums bytes."""
 
@@ -85,14 +85,6 @@ class SignalScan:
 
     def coarse_alpha(self, j: int) -> float:
         return self.alpha_step + j * self.alpha_step
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignalScan):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     @property
     def _key(self) -> tuple:

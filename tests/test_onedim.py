@@ -182,6 +182,21 @@ def test_a_window_that_outgrows_the_budget_is_refused(monkeypatch):
     assert len(stated) > 2 and stated[-1] > stated[0] + 1024
 
 
+def test_a_growth_over_the_budget_only_by_its_headroom_is_served(monkeypatch):
+    """(1, 2) at 1900 terms, before its first estimate, ends with a growth
+    of its count window to 1.25 times the values it must cover.  With the
+    limit one byte below that statement, those values still fit: the growth
+    takes the headroom that fits, to within one 4 B count, and the run is
+    served."""
+    stated = _record_statements(monkeypatch)
+    expected = ulam_sequence((1, 2), 1900)
+    limit = stated[-1] - 1
+    monkeypatch.setattr(core, "_MAX_BYTES", limit)
+    stated.clear()
+    assert ulam_sequence((1, 2), 1900) == expected
+    assert limit - 4 < stated[-1] <= limit
+
+
 def test_the_traced_peak_stays_within_the_stated_bytes(monkeypatch):
     """The arrays the engine states are all it holds that grow with the
     values covered.  Besides them it allocates the classes of one block
@@ -262,6 +277,39 @@ def test_the_first_estimate_fits_to_the_former_one(initials):
     same numerator, so the engine takes the same path on these inputs."""
     members = ulam_sequence(initials, 2000).array
     assert onedim._estimate(members, 0) == onedim._estimate(members, _former_start(members))
+
+
+# The numerators of the frequency estimates, at 2000 members and at each
+# doubling, along the runs of five initials; the engine takes the same path
+# wherever they are the same.
+FROZEN_ESTIMATES = {
+    ((1, 2), 200_000): [
+        115196085671023, 115196060833030, 115196060927868, 115196058425729,
+        115196049305438, 115196049195463, 115196049608264,
+    ],
+    ((2, 3), 50_000): [
+        52190613358841, 52190463624453, 52190406469657, 52190405744070, 52190403200146,
+    ],
+    ((1, 3), 50_000): [
+        126935410715091, 126935366640348, 126935386553934, 126935398139541, 126935399656750,
+    ],
+    ((2, 9), 50_000): [1 << 47] * 5,
+    ((241, 277), 9000): [89930791248006, 89930788739670, 89930306799446],
+}
+
+
+@pytest.mark.parametrize("initials, n_terms", list(FROZEN_ESTIMATES))
+def test_the_frequency_estimates_are_frozen(monkeypatch, initials, n_terms):
+    estimates = []
+    fit = onedim._estimate
+
+    def record(members, j):
+        estimates.append(fit(members, j))
+        return estimates[-1]
+
+    monkeypatch.setattr(onedim, "_estimate", record)
+    ulam_sequence(initials, n_terms)
+    assert estimates == FROZEN_ESTIMATES[initials, n_terms]
 
 
 def test_gaps_basic():
@@ -477,8 +525,7 @@ def test_first_untracked_member_of_the_class_inside_a_block(initials, j, first):
 # here a sum of two untracked members of J lands in the window of the later
 @example([5, 11, 30], [0, 193081596755779, 0], 7, 0)
 def test_any_window_gives_the_same_terms(initials, estimates, window, tracked_j):
-    # with no tracked member of J, the members of J below the window are
-    # partners of an outlier and not of a member of J
+    # with _TRACKED_J = 0, the tracked members of J are those below the window
     forced = iter(estimates)
     with mock.patch.multiple(
         onedim,
